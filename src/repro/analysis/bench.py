@@ -1,350 +1,41 @@
-"""Reproducible performance benchmarks (``repro bench``).
+"""Micro-benchmarks the end-to-end benchmark harness leans on.
 
-Two fixed workloads track the simulation core's throughput across PRs:
+The repository's timing surface is ``python3 benchmarks/perf/run.py``:
+it runs the north-star campaigns as fresh CLI processes, checks their
+outputs bitwise, and compares recorded baselines with
+``run.py compare``. Two in-process measurements remain here because
+they price something a CLI run cannot:
 
-* **mc** — ``run_monte_carlo("sstvs", 0.8, 1.2)`` at a configurable
-  sample count (100 for the headline number), serial and with a
-  process pool;
-* **sweep** — the Figure-8 delay surface
-  (``sweep_delay_surface("sstvs", SweepGrid.with_step(0.1))``),
-  single-threaded, which isolates the assembly-caching speedup from
-  parallelism;
-* **tracer** — :func:`bench_tracer_overhead`, a fixed DC-solve loop run
-  with tracing disabled / NullTracer / CollectingTracer back to back,
+* :func:`machine_calibration` — a constant-work LAPACK loop stamped
+  into every recorded baseline, so a reader can tell a code regression
+  from a slower machine;
+* :func:`bench_tracer_overhead` — a fixed DC-solve loop run with
+  tracing disabled / NullTracer / CollectingTracer back to back,
   guarding the telemetry layer's zero-cost-when-disabled contract
-  (NullTracer ≤ :data:`TRACER_OVERHEAD_TOLERANCE` over disabled);
-* **cache_hit** — :func:`bench_cache_hit`, the same Monte Carlo run
-  cold then warm against a fresh content-addressed solve cache
-  (:mod:`repro.runtime.cache`): reports the warm-pass hit rate, the
-  cold/warm wall-time ratio, and asserts the warm samples are bitwise
-  identical to the cold ones;
-* **floorplan_scale** — :func:`bench_floorplan_scale`, the
-  generate → assign → anneal → sign-off pipeline at 50/200/800 blocks
-  with a fixed move budget, timing each stage separately so annealer
-  throughput and STA/netlist scaling regress independently.
-
-Each workload records wall time and, for in-process runs, the global
-Newton counters from :func:`repro.spice.newton.solve_stats` as a
-solves-per-second rate (pool workers count in their own processes, so
-parallel runs report wall time only). Results serialize to a
-``BENCH_*.json`` trajectory file embedding the measured pre-PR2
-baselines, and :func:`check_regression` turns the file into a guard:
-``repro bench --check`` fails when solves/sec drops more than 30%
-below the stored baseline.
+  (NullTracer ≤ :data:`TRACER_OVERHEAD_TOLERANCE` over disabled).
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import time
-from datetime import datetime, timezone
-
-from repro.spice.newton import reset_solve_stats, solve_stats
-
-#: JSON schema tag for a single suite record.
-BENCH_SCHEMA = "repro-bench-v1"
-
-#: JSON schema tag for a multi-entry trajectory file (appended runs).
-BENCH_TRAJECTORY_SCHEMA = "repro-bench-trajectory-v1"
-
-#: Wall times measured on this PR's parent commit (serial engine,
-#: per-iteration full re-stamp) for the two headline workloads.
-PRE_PR2_BASELINE = {
-    "mc100_serial_wall_s": 103.78970726900025,
-    "fig8_sweep_wall_s": 37.56612051900038,
-}
-
-#: ``--check`` fails when solves/sec drops below (1 - this) x baseline.
-REGRESSION_TOLERANCE = 0.30
 
 #: An ambient NullTracer may cost at most this fraction over the
 #: disabled (ambient None) hot path — the telemetry layer's
-#: "zero-cost-when-disabled" contract, asserted on every bench run.
+#: "zero-cost-when-disabled" contract.
 TRACER_OVERHEAD_TOLERANCE = 0.02
-
-#: Machine-independent floor on process-pool scaling: the pooled Monte
-#: Carlo run must achieve at least this fraction of perfect speedup
-#: over the *effective* worker count (``min(workers, usable cores)``).
-#: Normalizing by usable cores keeps the guard meaningful everywhere —
-#: on a 1-core container "pool beats serial" is impossible, but "pool
-#: costs at most 2x its fair share" still is.
-POOL_EFFICIENCY_FLOOR = 0.5
 
 
 def _isolate() -> None:
     """Collect garbage before entering a timed region.
 
-    Workloads in one suite run otherwise contaminate each other: the
-    serial campaigns leave enough surviving-then-dying objects behind
-    that gen-2 collections fire *inside* the next workload's timed
-    region (measured: up to ~25% on ``mc_batched`` when it follows
-    ``mc_serial`` in-process). Standard benchmark isolation — each
-    timed region starts with an empty collector debt.
+    Whatever ran earlier in the process leaves surviving-then-dying
+    objects behind, and gen-2 collections would otherwise fire *inside*
+    the timed region (measured: up to ~25% on an in-process Monte Carlo
+    that followed another). Standard benchmark isolation — each timed
+    region starts with an empty collector debt.
     """
     gc.collect()
-
-
-def _rates(wall_s: float) -> dict:
-    # Valid for every backend: pool and sharded-batched workers measure
-    # their solve-counter deltas in-process and ship them home with each
-    # outcome (see repro.runtime.experiment.engine._stats_delta), so the
-    # global counters reflect the whole campaign here too.
-    stats = solve_stats()
-    return {
-        "solves": stats["solves"],
-        "newton_iterations": stats["iterations"],
-        "solves_per_s": (stats["solves"] / wall_s) if wall_s > 0 else None,
-    }
-
-
-def bench_monte_carlo(runs: int = 100, workers: int = 1,
-                      kind: str = "sstvs", vddi: float = 0.8,
-                      vddo: float = 1.2, seed: int = 20080310,
-                      backend: str | None = None,
-                      batch_width: int | None = None,
-                      solver: str | None = None) -> dict:
-    """Time one Monte Carlo campaign; returns a result record."""
-    from repro.analysis.montecarlo import MonteCarloConfig, run_monte_carlo
-    config = MonteCarloConfig(runs=runs, seed=seed, workers=workers,
-                              backend=backend, solver=solver)
-    if batch_width is not None:
-        config.batch_width = batch_width
-    _isolate()
-    reset_solve_stats()
-    started = time.perf_counter()
-    result = run_monte_carlo(kind, vddi, vddo, config)
-    wall_s = time.perf_counter() - started
-    record = {
-        "workload": "mc",
-        "kind": kind,
-        "vddi": vddi,
-        "vddo": vddo,
-        "runs": runs,
-        "workers": workers,
-        "backend": backend or ("pool" if workers > 1 else "serial"),
-        "batch_width": config.batch_width,
-        "solver": solver or "auto",
-        "wall_s": wall_s,
-        "functional_yield": result.functional_yield,
-        "quarantined": len(result.failures),
-    }
-    record.update(_rates(wall_s))
-    record["_samples"] = result.samples  # stripped before serialization
-    return record
-
-
-def bench_sweep(step: float = 0.1, workers: int = 1,
-                kind: str = "sstvs") -> dict:
-    """Time one delay-surface sweep; returns a result record."""
-    from repro.analysis.sweep import SweepGrid, sweep_delay_surface
-    grid = SweepGrid.with_step(step)
-    _isolate()
-    reset_solve_stats()
-    started = time.perf_counter()
-    surface = sweep_delay_surface(kind, grid, workers=workers)
-    wall_s = time.perf_counter() - started
-    record = {
-        "workload": "sweep",
-        "kind": kind,
-        "step": step,
-        "grid_points": int(surface.functional.size),
-        "workers": workers,
-        "wall_s": wall_s,
-        "functional_fraction": surface.functional_fraction,
-    }
-    record.update(_rates(wall_s))
-    return record
-
-
-def bench_cache_hit(runs: int = 100, kind: str = "sstvs",
-                    vddi: float = 0.8, vddo: float = 1.2,
-                    seed: int = 20080310) -> dict:
-    """Cold-vs-warm Monte Carlo through the content-addressed cache.
-
-    Runs the same campaign twice against a fresh cache in a temporary
-    directory: the cold pass populates it (every point a miss + store),
-    the warm pass must be served entirely from it. Records both wall
-    times, the warm-pass hit rate, and whether the warm samples are
-    bitwise identical to the cold ones — the cache's core guarantee.
-    """
-    import tempfile
-
-    from repro.analysis.montecarlo import MonteCarloConfig, run_monte_carlo
-    from repro.runtime.cache import SolveCache
-
-    config = MonteCarloConfig(runs=runs, seed=seed)
-    with tempfile.TemporaryDirectory() as root:
-        cache = SolveCache(root)
-        _isolate()
-        reset_solve_stats()
-        started = time.perf_counter()
-        cold = run_monte_carlo(kind, vddi, vddo, config, cache=cache)
-        cold_wall_s = time.perf_counter() - started
-        cold_rates = _rates(cold_wall_s)
-        _isolate()
-        started = time.perf_counter()
-        warm = run_monte_carlo(kind, vddi, vddo, config, cache=cache)
-        warm_wall_s = time.perf_counter() - started
-        stats = cache.stats
-    record = {
-        "workload": "cache_hit",
-        "kind": kind,
-        "runs": runs,
-        "cold_wall_s": cold_wall_s,
-        "warm_wall_s": warm_wall_s,
-        "wall_s": cold_wall_s + warm_wall_s,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "stores": stats.stores,
-        "corruptions": stats.corruptions,
-        "warm_hit_rate": stats.hits / runs if runs else None,
-        "warm_speedup": ((cold_wall_s / warm_wall_s)
-                         if warm_wall_s > 0 else None),
-        "warm_identical_to_cold": warm.samples == cold.samples,
-    }
-    # solves/s of the cold (live-solve) pass; the warm pass does no
-    # solver work by construction.
-    record.update(cold_rates)
-    return record
-
-
-def bench_sparse_crossover(lanes: int = 16, repeats: int = 3,
-                           cells: tuple = (1, 2, 4, 8, 12, 16, 24, 32),
-                           seed: int = 20080310) -> dict:
-    """Locate the dense/sparse linear-kernel crossover by system size.
-
-    Tiles the real sstvs testbench's MNA sparsity pattern into a block
-    ladder of ``k`` coupled shifter cells — the chained-workload shape
-    ROADMAP items 3-4 target — and times one ``lanes``-wide batched
-    solve per size through both kernels: dense LAPACK
-    (:func:`repro.spice.batch._solve_stack`) and the pattern-reuse
-    sparse LU (:class:`repro.spice.sparse.SparsePlan`). The symbolic
-    factorization runs outside the timed region, exactly as campaigns
-    amortize it (once per topology, thousands of numeric solves).
-
-    Records per-size wall times, the factor's nonzero count, the first
-    size where sparse wins, and :data:`SPARSE_AUTO_THRESHOLD` so a
-    drifting machine shows up as a crossover/threshold mismatch in the
-    trajectory rather than silent mis-selection.
-    """
-    import numpy as np
-
-    from repro.core.testbench import InputStep, build_testbench
-    from repro.pdk.variation import VariationSpec, VariedPdk
-    from repro.spice.assembly import SolverWorkspace
-    from repro.spice.batch import _solve_stack
-    from repro.spice.sparse import (
-        SPARSE_AUTO_THRESHOLD, SparsePlan, structural_pattern,
-    )
-
-    rng = np.random.default_rng(seed)
-    pdk = VariedPdk(rng, VariationSpec())
-    circuit, _ = build_testbench(pdk, "sstvs", 0.8, 1.2,
-                                 steps=[InputStep(0.2e-9, True)])
-    cell = structural_pattern(SolverWorkspace(circuit).plan)
-    nc = cell.shape[0]
-
-    _isolate()
-    suite_started = time.perf_counter()
-    sizes = []
-    for k in cells:
-        n = nc * k
-        pattern = np.zeros((n, n), dtype=bool)
-        for b in range(k):
-            lo = b * nc
-            pattern[lo:lo + nc, lo:lo + nc] = cell
-            if b:  # couple adjacent cells (output drives next input)
-                pattern[lo, lo - 1] = pattern[lo - 1, lo] = True
-        mats = rng.standard_normal((lanes, n, n)) * pattern
-        mats += np.eye(n) * (2.0 * n)
-        rhs = rng.standard_normal((lanes, n))
-        plan = SparsePlan(pattern)  # symbolic phase: once per topology
-        dense_s = min(_timed(lambda: _solve_stack(mats, rhs))
-                      for _ in range(repeats))
-        sparse_s = min(_timed(lambda: plan.solve(mats, rhs))
-                       for _ in range(repeats))
-        sizes.append({
-            "size": n,
-            "cells": k,
-            "nnz_factor": plan.nnz_factor,
-            "dense_s": dense_s,
-            "sparse_s": sparse_s,
-            "sparse_vs_dense": dense_s / sparse_s if sparse_s else None,
-        })
-    crossover = next((entry["size"] for entry in sizes
-                      if entry["sparse_s"] < entry["dense_s"]), None)
-    return {
-        "workload": "sparse_crossover",
-        "lanes": lanes,
-        "repeats": repeats,
-        "cell_size": nc,
-        "sizes": sizes,
-        "measured_crossover_size": crossover,
-        "auto_threshold": SPARSE_AUTO_THRESHOLD,
-        "wall_s": time.perf_counter() - suite_started,
-    }
-
-
-def bench_floorplan_scale(sizes: tuple = (50, 200, 800),
-                          moves: int = 150, seed: int = 20080310,
-                          design_seed: int = 0) -> dict:
-    """Time the floorplanner pipeline across design sizes.
-
-    For each block count: generate a synthetic multi-voltage design,
-    assign SS-TVS shifters, anneal a fixed (small) move budget, build
-    the crossing netlist + synthetic timing library, and sign off
-    through the STA engine. Per-size wall times are recorded for each
-    stage separately, so a regression in (say) netlist construction —
-    the part that used to be quadratic in fanout lookups — is visible
-    independently of annealing throughput. The annealing rate is
-    reported as evaluated moves per second, which is the cost driver
-    at SoC scale (``default_moves`` grows with the block count).
-    """
-    from repro.floorplan import (
-        anneal_floorplan, assign_shifters, build_crossing_netlist,
-        build_timing_library, generate_design, signoff_floorplan,
-    )
-
-    _isolate()
-    suite_started = time.perf_counter()
-    entries = []
-    for blocks in sizes:
-        started = time.perf_counter()
-        design = generate_design(blocks=blocks, seed=design_seed)
-        assignment = assign_shifters(design, "sstvs",
-                                     characterize_leakage=False)
-        setup_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        result = anneal_floorplan(design, assignment, seed=seed,
-                                  moves=moves)
-        anneal_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        netlist, paths = build_crossing_netlist(design, assignment,
-                                                result.positions)
-        library = build_timing_library(design, assignment)
-        report = signoff_floorplan(netlist, paths, library,
-                                   required=2e-9)
-        signoff_s = time.perf_counter() - started
-
-        entries.append({
-            "blocks": blocks,
-            "crossings": len(assignment.crossings),
-            "setup_s": setup_s,
-            "anneal_s": anneal_s,
-            "moves_per_s": moves / anneal_s if anneal_s > 0 else None,
-            "signoff_s": signoff_s,
-            "signoff_ok": report.ok,
-            "cost": result.cost,
-        })
-    return {
-        "workload": "floorplan_scale",
-        "sizes": entries,
-        "moves": moves,
-        "wall_s": time.perf_counter() - suite_started,
-    }
 
 
 def _timed(thunk) -> float:
@@ -359,9 +50,9 @@ def machine_calibration(repeats: int = 3) -> dict:
     The shared benchmark container's wall clock swings by tens of
     percent with hypervisor load; this constant-work microbenchmark
     (2000 batched 100x13 solves — the MC workload's kernel shape) is
-    recorded alongside every suite entry so a trajectory reader can
-    tell a code regression (rate down, calibration flat) from a noisy
-    machine (both move together).
+    recorded alongside every benchmark baseline so a reader can tell a
+    code regression (rate down, calibration flat) from a noisy machine
+    (both move together).
     """
     import numpy as np
 
@@ -377,37 +68,6 @@ def machine_calibration(repeats: int = 3) -> dict:
 
     best = min(_timed(pass_once) for _ in range(repeats))
     return {"lapack_fixed_work_s": best, "repeats": repeats}
-
-
-def check_pool_efficiency(record: dict,
-                          floor: float = POOL_EFFICIENCY_FLOOR
-                          ) -> list[str]:
-    """Assert the machine-independent pool-scaling floor on a suite.
-
-    ``pool_efficiency`` is serial wall time over pooled wall time,
-    normalized by the effective worker count — 1.0 is perfect scaling
-    on any machine, and the floor is a fraction of perfect rather than
-    of serial, so the guard neither lies on many-core boxes nor fails
-    spuriously on one-core containers.
-    """
-    entry = latest_entry(record)
-    efficiency = entry.get("speedups", {}).get("pool_efficiency")
-    if efficiency is None or efficiency >= floor:
-        return []
-    workers = entry.get("workloads", {}).get(
-        "mc_parallel", {}).get("workers")
-    return [f"pool: efficiency {efficiency:.2f} is below the "
-            f"{floor:.0%}-of-perfect floor (workers={workers}); the "
-            f"process pool is costing more than it contributes"]
-
-
-def _effective_workers(workers: int) -> int:
-    import os
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        usable = os.cpu_count() or 1
-    return max(1, min(workers, usable))
 
 
 def _tracer_overhead_circuits(n: int) -> list:
@@ -451,8 +111,8 @@ def bench_tracer_overhead(solves: int = 200, repeats: int = 3) -> dict:
     machine, where pass-level wall times can drift by 10–20 %.
 
     ``null_overhead`` is the fractional cost of the instrumentation
-    itself; ``repro bench`` fails when it exceeds
-    :data:`TRACER_OVERHEAD_TOLERANCE`.
+    itself; the test suite fails when it exceeds
+    :data:`TRACER_OVERHEAD_TOLERANCE` (with a margin for loaded hosts).
     """
     from repro.runtime import telemetry
     from repro.spice.op import OperatingPoint
@@ -505,204 +165,3 @@ def _median(values: list[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def check_tracer_overhead(
-        record: dict,
-        tolerance: float = TRACER_OVERHEAD_TOLERANCE) -> list[str]:
-    """Assert the NullTracer overhead bound on a suite record."""
-    tracer = latest_entry(record).get("workloads", {}).get("tracer")
-    if not tracer:
-        return []
-    overhead = tracer.get("null_overhead")
-    if overhead is None or overhead <= tolerance:
-        return []
-    return [f"tracer: NullTracer costs {overhead:+.1%} over the "
-            f"disabled hot path (tolerance {tolerance:.0%})"]
-
-
-def run_bench_suite(mc_runs: int = 100, sweep_step: float = 0.1,
-                    workers: int = 4) -> dict:
-    """Run the full benchmark suite; returns the trajectory record.
-
-    Runs the Monte Carlo workload serially and with ``workers``
-    processes (verifying the two produce identical samples), plus the
-    single-threaded sweep, and relates the wall times to the stored
-    pre-PR2 baselines.
-    """
-    mc_serial = bench_monte_carlo(runs=mc_runs, workers=1)
-    mc_parallel = bench_monte_carlo(runs=mc_runs, workers=workers)
-    mc_batched = bench_monte_carlo(runs=mc_runs, backend="batched")
-    mc_batched_sharded = bench_monte_carlo(runs=mc_runs, workers=2,
-                                           backend="batched")
-    # Bitwise cross-backend checks before the sample lists are stripped:
-    # every alternative backend must reproduce the serial samples
-    # exactly (ShifterMetrics compares float fields with ==).
-    serial_samples = mc_serial.pop("_samples")
-    mc_parallel["identical_to_serial"] = (
-        mc_parallel.pop("_samples") == serial_samples)
-    mc_batched["identical_to_serial"] = (
-        mc_batched.pop("_samples") == serial_samples)
-    mc_batched_sharded["identical_to_serial"] = (
-        mc_batched_sharded.pop("_samples") == serial_samples)
-    sweep = bench_sweep(step=sweep_step, workers=1)
-    tracer = bench_tracer_overhead()
-    cache_hit = bench_cache_hit(runs=mc_runs)
-    sparse_crossover = bench_sparse_crossover()
-    floorplan_scale = bench_floorplan_scale()
-
-    baseline = dict(PRE_PR2_BASELINE)
-    speedups = {}
-    if mc_runs == 100:
-        speedups["mc100_parallel_vs_pre_pr2"] = (
-            baseline["mc100_serial_wall_s"] / mc_parallel["wall_s"])
-        speedups["mc100_serial_vs_pre_pr2"] = (
-            baseline["mc100_serial_wall_s"] / mc_serial["wall_s"])
-        speedups["mc100_batched_vs_pre_pr2"] = (
-            baseline["mc100_serial_wall_s"] / mc_batched["wall_s"])
-    # The batched-vs-serial headline is meaningful at any sample count
-    # (both run in this process on the same workload).
-    speedups["mc_batched_vs_serial"] = (
-        mc_serial["wall_s"] / mc_batched["wall_s"])
-    speedups["mc_batched_sharded_vs_serial"] = (
-        mc_serial["wall_s"] / mc_batched_sharded["wall_s"])
-    if mc_runs == 100:
-        speedups["mc100_batched_vs_serial"] = (
-            speedups["mc_batched_vs_serial"])
-    # Machine-independent pool scaling: fraction of perfect speedup
-    # over the workers that can actually run (see POOL_EFFICIENCY_FLOOR).
-    speedups["pool_efficiency"] = (
-        mc_serial["wall_s"]
-        / (mc_parallel["wall_s"] * _effective_workers(workers)))
-    if sweep_step == 0.1:
-        speedups["fig8_sweep_single_thread_vs_pre_pr2"] = (
-            baseline["fig8_sweep_wall_s"] / sweep["wall_s"])
-    return {
-        "schema": BENCH_SCHEMA,
-        "workloads": {
-            "mc_serial": mc_serial,
-            "mc_parallel": mc_parallel,
-            "mc_batched": mc_batched,
-            "mc_batched_sharded": mc_batched_sharded,
-            "sweep": sweep,
-            "tracer": tracer,
-            "cache_hit": cache_hit,
-            "sparse_crossover": sparse_crossover,
-            "floorplan_scale": floorplan_scale,
-        },
-        "baseline_pre_pr2": baseline,
-        "speedups": speedups,
-        "machine": machine_calibration(),
-    }
-
-
-def check_regression(current: dict, baseline: dict,
-                     tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
-    """Compare solves/sec between two trajectory records.
-
-    Returns a list of human-readable regression messages (empty when
-    every workload holds up). Only workloads present in both records
-    with an in-process ``solves_per_s`` rate are compared.
-    """
-    problems = []
-    current = latest_entry(current)
-    baseline = latest_entry(baseline)
-    base_workloads = baseline.get("workloads", {})
-    for name, record in current.get("workloads", {}).items():
-        rate = record.get("solves_per_s")
-        base_rate = base_workloads.get(name, {}).get("solves_per_s")
-        if rate is None or base_rate is None or base_rate <= 0:
-            continue
-        floor = (1.0 - tolerance) * base_rate
-        if rate < floor:
-            problems.append(
-                f"{name}: {rate:.1f} solves/s is "
-                f"{100.0 * (1.0 - rate / base_rate):.1f}% below the "
-                f"baseline {base_rate:.1f} (tolerance {tolerance:.0%})")
-    return problems
-
-
-def write_trajectory(record: dict, path: str) -> None:
-    """Serialize a suite record to ``path`` (samples stripped)."""
-    clean = json.loads(json.dumps(
-        record, default=lambda o: None))  # drop non-serializable leftovers
-    with open(path, "w") as handle:
-        json.dump(clean, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_trajectory(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def latest_entry(trajectory: dict) -> dict:
-    """Most recent suite record in a trajectory (or the record itself).
-
-    Accepts both file formats: a multi-entry trajectory
-    (:data:`BENCH_TRAJECTORY_SCHEMA`) and a legacy single-record file
-    (:data:`BENCH_SCHEMA`), so ``--check`` works against either.
-    """
-    if trajectory.get("schema") == BENCH_TRAJECTORY_SCHEMA:
-        entries = trajectory.get("entries", [])
-        if not entries:
-            raise ValueError("bench trajectory has no entries")
-        return entries[-1]
-    return trajectory
-
-
-def validate_baseline(trajectory: dict) -> str | None:
-    """Check a loaded baseline file is usable for ``--check``.
-
-    Returns None when the file is a valid trajectory
-    (:data:`BENCH_TRAJECTORY_SCHEMA`) or legacy single record
-    (:data:`BENCH_SCHEMA`) with at least one workload; otherwise an
-    actionable message explaining what is wrong. Guarding here keeps
-    ``repro bench --check`` from silently "passing" against a file it
-    cannot actually compare with (an unknown schema yields an empty
-    workload map, which compares clean against anything).
-    """
-    schema = trajectory.get("schema")
-    if schema == BENCH_TRAJECTORY_SCHEMA:
-        if not trajectory.get("entries"):
-            return ("baseline trajectory has no entries; run "
-                    "'repro bench --out <path>' to record one")
-        entry = trajectory["entries"][-1]
-    elif schema == BENCH_SCHEMA:
-        entry = trajectory
-    else:
-        return (f"unrecognized baseline schema {schema!r} (expected "
-                f"{BENCH_SCHEMA!r} or {BENCH_TRAJECTORY_SCHEMA!r}); "
-                f"the file may be from an older or newer version — "
-                f"re-record it with 'repro bench --out <path>'")
-    if not entry.get("workloads"):
-        return ("baseline record has no workloads to compare against; "
-                "re-record it with 'repro bench --out <path>'")
-    return None
-
-
-def append_trajectory(record: dict, path: str) -> int:
-    """Append a suite record to the trajectory at ``path``.
-
-    Creates the file when missing; converts a legacy single-record file
-    into the multi-entry format, keeping the old record as the first
-    entry. Returns the entry count after appending.
-    """
-    entries: list[dict] = []
-    try:
-        existing = load_trajectory(path)
-    except (OSError, json.JSONDecodeError):
-        existing = None
-    if existing is not None:
-        if existing.get("schema") == BENCH_TRAJECTORY_SCHEMA:
-            entries = list(existing.get("entries", []))
-        elif existing.get("workloads"):
-            entries = [existing]
-    clean = json.loads(json.dumps(record, default=lambda o: None))
-    clean["appended_utc"] = datetime.now(timezone.utc).isoformat()
-    entries.append(clean)
-    with open(path, "w") as handle:
-        json.dump({"schema": BENCH_TRAJECTORY_SCHEMA, "entries": entries},
-                  handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(entries)

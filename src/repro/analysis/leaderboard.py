@@ -219,6 +219,7 @@ def write_leaderboard(board: dict, path: str) -> dict:
             previous_version = 0
     board = dict(board)
     board["version"] = previous_version + 1
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as handle:
         json.dump(board, handle, indent=1, sort_keys=True)

@@ -78,7 +78,7 @@ class MonteCarloConfig:
     #: Samples per batched lane group (ignored off the batched
     #: backend). 128 keeps LAPACK calls amortized over enough lanes
     #: without letting lane divergence strand the stack (measured on
-    #: the ``repro bench`` MC workload: 128 beats 32 by ~2.3x).
+    #: a 100-sample sstvs Monte Carlo: 128 beats 32 by ~2.3x).
     batch_width: int = 128
     #: Linear-solve kernel: "dense", "sparse" (pattern-reuse LU), or
     #: "auto" (by MNA size); None keeps the ambient default ("auto").

@@ -13,9 +13,9 @@ Commands map one-to-one onto the library's experiment entry points:
 * ``liberty`` — NLDM characterization to a .lib-like file;
 * ``vtc`` — DC transfer curve / noise margins;
 * ``pvt`` — process-corner x temperature report;
-* ``bench`` — timed benchmark workloads (appends to a trajectory file;
-  ``--check`` is the regression guard; ``--leaderboard`` characterizes
-  every registered cell x PDK node x corner into LEADERBOARD.json);
+* ``bench --leaderboard`` — characterize every registered cell x PDK
+  node x corner into LEADERBOARD.json (campaign timing lives in
+  ``python3 benchmarks/perf/run.py``);
 * ``floorplan`` — shifter-assignment floorplan campaign: synthesize or
   bridge a multi-voltage design, assign a registered shifter cell to
   every domain crossing per strategy, anneal a sequence-pair
@@ -56,6 +56,7 @@ import sys
 
 from repro.cells.registry import cell_names
 from repro.core.metrics import METRIC_FIELDS, METRIC_LABELS, METRIC_UNITS
+from repro.pdk.corners import CORNER_SHIFTS
 from repro.pdk.registry import node_names
 from repro.units import format_eng
 
@@ -588,111 +589,10 @@ def cmd_cache(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Timed benchmark workloads; appends to a trajectory file.
-
-    Each run appends one entry to ``--out`` (default ``BENCH.json``),
-    converting a legacy single-record file in place. With ``--check``,
-    instead compares a fresh run against the latest stored entry and
-    exits nonzero when solves/sec regressed more than 30% on any
-    workload.
-    """
-    import os
-
-    from repro.analysis.bench import (
-        append_trajectory, check_pool_efficiency, check_regression,
-        check_tracer_overhead, load_trajectory, run_bench_suite,
-        validate_baseline,
-    )
-    if args.leaderboard:
-        return _bench_leaderboard(args)
-    record = run_bench_suite(mc_runs=args.runs, sweep_step=args.step,
-                             workers=args.workers)
-    for name, workload in record["workloads"].items():
-        line = f"  {name:12s} {workload['wall_s']:8.2f} s"
-        if workload.get("solves_per_s"):
-            line += f"  ({workload['solves_per_s']:7.1f} solves/s)"
-        print(line)
-    for name, ratio in record["speedups"].items():
-        print(f"  speedup {name}: {ratio:.2f}x")
-    tracer = record["workloads"].get("tracer", {})
-    if tracer.get("null_overhead") is not None:
-        print(f"  tracer overhead: null {tracer['null_overhead']:+.2%}, "
-              f"collecting {tracer['collecting_overhead']:+.2%}")
-    cache_hit = record["workloads"].get("cache_hit", {})
-    if cache_hit.get("warm_hit_rate") is not None:
-        print(f"  cache warm pass: {cache_hit['warm_hit_rate']:.0%} hit "
-              f"rate, {cache_hit['warm_speedup']:.1f}x over cold")
-    crossover = record["workloads"].get("sparse_crossover", {})
-    if crossover.get("sizes"):
-        measured = crossover.get("measured_crossover_size")
-        print(f"  sparse crossover: "
-              f"{'n=' + str(measured) if measured else 'not reached'} "
-              f"(auto threshold n={crossover['auto_threshold']}, "
-              f"largest tested n={crossover['sizes'][-1]['size']})")
-    floorplan = record["workloads"].get("floorplan_scale", {})
-    for entry in floorplan.get("sizes", []):
-        print(f"  floorplan {entry['blocks']:4d} blocks: "
-              f"{entry['moves_per_s']:7.0f} moves/s, sign-off "
-              f"{entry['signoff_s']:.2f} s over {entry['crossings']} "
-              f"crossings")
-    for name, label in (("mc_parallel", "parallel"),
-                        ("mc_batched", "batched"),
-                        ("mc_batched_sharded", "sharded-batched")):
-        workload = record["workloads"].get(name, {})
-        if not workload.get("identical_to_serial", True):
-            print(f"FAIL: {label} MC samples differ from serial run")
-            return 1
-    if not cache_hit.get("warm_identical_to_cold", True):
-        print("FAIL: cache-served MC samples differ from cold solves")
-        return 1
-    overhead_problems = check_tracer_overhead(record)
-    overhead_problems += check_pool_efficiency(record)
-    for problem in overhead_problems:
-        print(f"FAIL: {problem}")
-    if overhead_problems:
-        return 1
-    if args.check:
-        baseline_path = args.out
-        if not os.path.exists(baseline_path) \
-                and os.path.exists("BENCH_PR2.json"):
-            baseline_path = "BENCH_PR2.json"
-        if not os.path.exists(baseline_path):
-            print(f"no baseline file at {baseline_path}; record one "
-                  f"first with 'repro bench --out {baseline_path}'")
-            return 1
-        try:
-            baseline = load_trajectory(baseline_path)
-        except OSError as exc:
-            print(f"cannot load baseline {baseline_path}: {exc}")
-            return 1
-        except ValueError as exc:
-            print(f"baseline {baseline_path} is not valid JSON: {exc}; "
-                  f"re-record it with 'repro bench --out "
-                  f"{baseline_path}'")
-            return 1
-        problem = validate_baseline(baseline)
-        if problem is not None:
-            print(f"baseline {baseline_path}: {problem}")
-            return 1
-        problems = check_regression(record, baseline)
-        for problem in problems:
-            print(f"REGRESSION: {problem}")
-        if problems:
-            return 1
-        print(f"no throughput regression vs {baseline_path}")
-        return 0
-    entries = append_trajectory(record, args.out)
-    print(f"appended to {args.out} ({entries} entr"
-          f"{'y' if entries == 1 else 'ies'})")
-    return 0
-
-
-def _bench_leaderboard(args) -> int:
     """Characterize cells x nodes x corners into the standing artifact."""
     from repro.analysis.leaderboard import (
         build_leaderboard, render_leaderboard, write_leaderboard,
     )
-    out = args.out if args.out != "BENCH.json" else "LEADERBOARD.json"
 
     def progress(label: str) -> None:
         print(f"\r  {label:<44s}", end="", flush=True)
@@ -700,10 +600,10 @@ def _bench_leaderboard(args) -> int:
     board = build_leaderboard(cells=args.cells, nodes=args.nodes,
                               corners=args.corners, progress=progress)
     print("\r" + " " * 48 + "\r", end="")
-    board = write_leaderboard(board, out)
+    board = write_leaderboard(board, args.out)
     print(render_leaderboard(board))
     entries = len(board["entries"])
-    print(f"wrote {out} (version {board['version']}, "
+    print(f"wrote {args.out} (version {board['version']}, "
           f"{entries} corner entries)")
     return 0
 
@@ -1237,27 +1137,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cache root directory (default: cache)")
     p.set_defaults(func=cmd_cache)
 
-    p = sub.add_parser("bench", help="timed benchmark workloads")
-    p.add_argument("--runs", type=int, default=100,
-                   help="Monte Carlo workload sample count")
-    p.add_argument("--step", type=float, default=0.1,
-                   help="sweep workload grid step [V]")
+    p = sub.add_parser("bench", help="cell x node x corner leaderboard")
+    p.add_argument("--leaderboard", action="store_true", required=True,
+                   help="characterize every registered cell on every "
+                        "registered PDK node at every process corner "
+                        "and write the standing leaderboard artifact")
     p.add_argument("--out", "--output", "-o", dest="out",
-                   default="BENCH.json",
-                   help="trajectory file to append to (or compare "
-                        "against)")
-    p.add_argument("--check", action="store_true",
-                   help="compare against the stored trajectory instead "
-                        "of appending; fail on >30%% solves/sec "
-                        "regression")
-    p.add_argument("--workers", type=int, default=4,
-                   help="pool width for the parallel MC workload")
-    p.add_argument("--leaderboard", action="store_true",
-                   help="instead of the timed workloads, characterize "
-                        "every registered cell on every registered PDK "
-                        "node at every process corner and write the "
-                        "standing leaderboard artifact (--out defaults "
-                        "to LEADERBOARD.json in this mode)")
+                   default="LEADERBOARD.json",
+                   help="artifact path (default: LEADERBOARD.json)")
     p.add_argument("--cells", nargs="+", default=None,
                    choices=cell_names(), metavar="cell",
                    help="leaderboard: restrict to these cells")
@@ -1265,6 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=node_names(), metavar="node",
                    help="leaderboard: restrict to these PDK nodes")
     p.add_argument("--corners", nargs="+", default=None,
+                   choices=tuple(CORNER_SHIFTS), metavar="corner",
                    help="leaderboard: restrict to these corners "
                         "(default: all)")
     p.set_defaults(func=cmd_bench)

@@ -239,8 +239,9 @@ class NullTracer(Tracer):
 
     Exists to *bound the cost of the instrumentation itself*: with a
     NullTracer ambient every guard passes and every emission call is
-    made, but nothing is computed or stored. ``repro bench`` asserts
-    this costs ≤2 % over the disabled (ambient ``None``) hot path.
+    made, but nothing is computed or stored. ``pytest -m bench``
+    (:func:`repro.analysis.bench.bench_tracer_overhead`) asserts this
+    costs ≤2 % over the disabled (ambient ``None``) hot path.
     """
 
 

@@ -49,7 +49,7 @@ try:  # pragma: no cover - version-dependent private module
 except ImportError:  # pragma: no cover
     _lapack_solve1 = None
 
-# Cheap global throughput counters for `repro bench` (solves/sec).
+# Cheap global work counters: Newton solves and iterations.
 _SOLVES = 0
 _ITERATIONS = 0
 
@@ -85,8 +85,8 @@ def add_solve_stats(solves: int = 0, iterations: int = 0) -> None:
     """Credit batched work to the global throughput counters.
 
     The batched backend (:mod:`repro.spice.batch`) performs many
-    lane-solves per LAPACK call; it reports them here so
-    ``repro bench`` rates stay comparable across backends (one lane
+    lane-solves per LAPACK call; it reports them here so solve
+    counts stay comparable across backends (one lane
     converging in k iterations counts exactly like one serial solve
     of k iterations).
     """

@@ -44,8 +44,8 @@ with the same failure text as the dense path.
 ``n`` Python-level steps, versus dense LAPACK's O(n^3) at C speed.
 For the paper's shifter testbenches (n ≈ 20) dense wins easily; for
 the SoC-scale chained workloads ROADMAP items 3-4 target, the sparse
-path overtakes it. The crossover is measured by the ``repro bench``
-``sparse_crossover`` workload and baked into
+path overtakes it. The crossover was measured by a since-retired
+``sparse_crossover`` benchmark workload and baked into
 :data:`SPARSE_AUTO_THRESHOLD`; ``solver="auto"`` (the default)
 switches on matrix size only, so the choice is reproducible
 everywhere.
@@ -61,11 +61,12 @@ import numpy as np
 from repro.errors import AnalysisError
 
 #: ``solver="auto"`` picks the sparse path at and above this MNA system
-#: size. Calibrated with ``repro bench`` (``sparse_crossover``
-#: workload): on the reference container, for ladder-of-shifter-cells
-#: topologies, the vectorized sparse refactor overtakes batched dense
-#: LAPACK near n≈200 at campaign lane widths (16 lanes) and near n≈360
-#: at 4 lanes; single-lane dense stays ahead longer still. The
+#: size. Calibrated with the retired ``sparse_crossover`` benchmark
+#: workload (recorded in ``BENCH_PR7.json``): on the reference
+#: container, for ladder-of-shifter-cells topologies, the vectorized
+#: sparse refactor overtakes batched dense LAPACK near n≈200 at
+#: campaign lane widths (16 lanes) and near n≈360 at 4 lanes;
+#: single-lane dense stays ahead longer still. The
 #: threshold sits at the wide-batch crossover because that is where
 #: SoC-scale campaigns actually run, and the rule must stay a function
 #: of topology alone (never lane count) to preserve the bitwise

@@ -1,222 +1,85 @@
-"""Benchmark harness smoke tests (``pytest -m bench``).
+"""Backend-identity oracles and the telemetry-overhead guard
+(``pytest -m bench``).
 
-Runs the real suite on tiny workloads — enough to prove the harness
-end-to-end (timing, solve counters, parallel-vs-serial identity check,
-JSON trajectory, regression guard) without benchmark-scale runtime.
+Campaign timing lives in ``benchmarks/perf``; what stays here is what a
+CLI run cannot see: every Monte Carlo backend must reproduce the serial
+campaign bit for bit on a real cell, with the solve counters its
+workers ship home, and an ambient NullTracer must be nearly free on the
+solver hot path.
 """
-
-import copy
-import json
 
 import pytest
 
+from repro.analysis import MonteCarloConfig, run_monte_carlo
 from repro.analysis.bench import (
-    BENCH_SCHEMA, BENCH_TRAJECTORY_SCHEMA, PRE_PR2_BASELINE,
-    TRACER_OVERHEAD_TOLERANCE, append_trajectory, bench_tracer_overhead,
-    check_regression, check_tracer_overhead, latest_entry,
-    load_trajectory, run_bench_suite, validate_baseline,
-    write_trajectory,
+    TRACER_OVERHEAD_TOLERANCE, bench_tracer_overhead, machine_calibration,
 )
+from repro.core import StimulusPlan
+from repro.core.metrics import METRIC_FIELDS
+from repro.spice.newton import reset_solve_stats, solve_stats
 
 pytestmark = pytest.mark.bench
 
-
-def _record(rate: float) -> dict:
-    return {"schema": BENCH_SCHEMA,
-            "workloads": {"mc_serial": {"wall_s": 1.0, "solves": 10,
-                                        "solves_per_s": rate}},
-            "speedups": {}}
-
-
-class TestTrajectory:
-    def test_append_creates_then_extends(self, tmp_path):
-        path = str(tmp_path / "BENCH.json")
-        assert append_trajectory(_record(10.0), path) == 1
-        assert append_trajectory(_record(11.0), path) == 2
-        stored = load_trajectory(path)
-        assert stored["schema"] == BENCH_TRAJECTORY_SCHEMA
-        assert len(stored["entries"]) == 2
-        assert all("appended_utc" in e for e in stored["entries"])
-
-    def test_append_converts_legacy_single_record(self, tmp_path):
-        path = str(tmp_path / "BENCH.json")
-        write_trajectory(_record(10.0), path)
-        assert append_trajectory(_record(12.0), path) == 2
-        stored = load_trajectory(path)
-        rates = [e["workloads"]["mc_serial"]["solves_per_s"]
-                 for e in stored["entries"]]
-        assert rates == [10.0, 12.0]
-
-    def test_latest_entry_both_formats(self, tmp_path):
-        legacy = _record(10.0)
-        assert latest_entry(legacy) is legacy
-        path = str(tmp_path / "BENCH.json")
-        append_trajectory(_record(10.0), path)
-        append_trajectory(_record(12.0), path)
-        newest = latest_entry(load_trajectory(path))
-        assert newest["workloads"]["mc_serial"]["solves_per_s"] == 12.0
-
-    def test_latest_entry_empty_trajectory_raises(self):
-        with pytest.raises(ValueError, match="no entries"):
-            latest_entry({"schema": BENCH_TRAJECTORY_SCHEMA,
-                          "entries": []})
-
-    def test_check_regression_accepts_trajectories(self, tmp_path):
-        path = str(tmp_path / "BENCH.json")
-        append_trajectory(_record(10.0), path)
-        baseline = load_trajectory(path)
-        assert check_regression(_record(10.0), baseline) == []
-        problems = check_regression(_record(1.0), baseline)
-        assert problems and "mc_serial" in problems[0]
+BACKENDS = {
+    "serial": {},
+    "pool": {"workers": 2},
+    "batched": {"backend": "batched", "batch_width": 2},
+    "sharded_batched": {"backend": "batched", "workers": 2,
+                        "batch_width": 2},
+}
 
 
-class TestValidateBaseline:
-    """The ``--check`` baseline guard (satellite: no silent passes)."""
-
-    def test_accepts_valid_trajectory_and_legacy(self, tmp_path):
-        path = str(tmp_path / "BENCH.json")
-        append_trajectory(_record(10.0), path)
-        assert validate_baseline(load_trajectory(path)) is None
-        assert validate_baseline(_record(10.0)) is None
-
-    def test_rejects_unknown_schema(self):
-        problem = validate_baseline({"schema": "repro-bench-v99",
-                                     "workloads": {"mc_serial": {}}})
-        assert problem is not None
-        assert "repro-bench-v99" in problem
-        assert "repro bench --out" in problem  # actionable fix
-
-    def test_rejects_schemaless_dict(self):
-        # An arbitrary JSON object previously slipped through
-        # latest_entry as a "legacy record" with no workloads and
-        # compared clean against anything.
-        problem = validate_baseline({"results": [1, 2, 3]})
-        assert problem is not None and "schema" in problem
-
-    def test_rejects_empty_trajectory(self):
-        problem = validate_baseline({"schema": BENCH_TRAJECTORY_SCHEMA,
-                                     "entries": []})
-        assert problem is not None and "no entries" in problem
-
-    def test_rejects_record_without_workloads(self):
-        problem = validate_baseline({"schema": BENCH_SCHEMA})
-        assert problem is not None and "workloads" in problem
+def _bits(result):
+    """Samples as exact bit patterns: NaN-safe, unlike ``==``."""
+    return [(s.functional,
+             *(float.hex(float(getattr(s, f))) for f in METRIC_FIELDS))
+            for s in result.samples]
 
 
 @pytest.fixture(scope="module")
-def suite_record():
-    return run_bench_suite(mc_runs=2, sweep_step=0.3, workers=2)
+def suite():
+    """One real sstvs campaign per backend, with its counter delta."""
+    plan = StimulusPlan(settle=3e-9, hold=2e-9, short=0.8e-9)
+    campaigns = {}
+    for name, knobs in BACKENDS.items():
+        reset_solve_stats()
+        config = MonteCarloConfig(runs=4, seed=99, plan=plan, **knobs)
+        result = run_monte_carlo("sstvs", 0.8, 1.2, config)
+        campaigns[name] = (result, solve_stats())
+    return campaigns
 
 
-def test_suite_record_shape(suite_record):
-    assert suite_record["schema"] == BENCH_SCHEMA
-    assert suite_record["baseline_pre_pr2"] == PRE_PR2_BASELINE
-    workloads = suite_record["workloads"]
-    assert set(workloads) == {"mc_serial", "mc_parallel", "mc_batched",
-                              "mc_batched_sharded", "sweep", "tracer",
-                              "cache_hit", "sparse_crossover",
-                              "floorplan_scale"}
-    for record in workloads.values():
-        assert record["wall_s"] > 0
-    # The floorplan workload times each pipeline stage per size.
-    for entry in workloads["floorplan_scale"]["sizes"]:
-        assert entry["moves_per_s"] > 0
-        assert entry["signoff_s"] > 0
-    # Every campaign workload exposes the Newton counters as a rate —
-    # pool and sharded workers ship their deltas home.
-    assert workloads["mc_serial"]["solves"] > 0
-    assert workloads["mc_serial"]["solves_per_s"] > 0
-    assert workloads["mc_parallel"]["solves_per_s"] > 0
-    assert workloads["mc_batched"]["solves_per_s"] > 0
-    assert workloads["mc_batched_sharded"]["solves_per_s"] > 0
-    assert workloads["sweep"]["solves_per_s"] > 0
-    # Every backend saw the identical workload, so the shipped-home
-    # solve counters must agree exactly.
-    assert workloads["mc_parallel"]["solves"] \
-        == workloads["mc_serial"]["solves"]
-    assert workloads["mc_batched_sharded"]["solves"] \
-        == workloads["mc_batched"]["solves"]
-    # Off-scale runs keep the pre-PR2 headline speedups out, but the
-    # in-process ratios and the pool-efficiency guard are valid at any
-    # scale.
-    assert set(suite_record["speedups"]) == {
-        "mc_batched_vs_serial", "mc_batched_sharded_vs_serial",
-        "pool_efficiency"}
-    assert suite_record["speedups"]["mc_batched_vs_serial"] > 0
-    assert suite_record["speedups"]["pool_efficiency"] > 0
-    # Constant-work machine price, for reading noisy trajectories.
-    assert suite_record["machine"]["lapack_fixed_work_s"] > 0
+def _assert_identical_to_serial(suite, name):
+    serial, _ = suite["serial"]
+    other, _ = suite[name]
+    assert _bits(other) == _bits(serial)
+    assert other.quarantined == serial.quarantined
 
 
-def test_parallel_identical_to_serial(suite_record):
-    assert suite_record["workloads"]["mc_parallel"][
-        "identical_to_serial"] is True
+def test_suite_record_shape(suite):
+    for result, stats in suite.values():
+        assert len(result.samples) == 4
+        assert stats["solves"] > 0
+    # Workers measure their counter deltas in-process and ship them
+    # home, so a sharded campaign reports exactly its in-process twin's
+    # work. Batched and serial count lane work differently, so only
+    # same-kernel pairs are compared.
+    assert suite["pool"][1] == suite["serial"][1]
+    assert suite["sharded_batched"][1] == suite["batched"][1]
+    # Constant-work machine price, stamped into recorded baselines.
+    assert machine_calibration(repeats=1)["lapack_fixed_work_s"] > 0
 
 
-def test_batched_identical_to_serial(suite_record):
-    assert suite_record["workloads"]["mc_batched"][
-        "identical_to_serial"] is True
-    assert suite_record["workloads"]["mc_batched"]["backend"] == "batched"
+def test_parallel_identical_to_serial(suite):
+    _assert_identical_to_serial(suite, "pool")
 
 
-def test_sharded_batched_identical_to_serial(suite_record):
-    sharded = suite_record["workloads"]["mc_batched_sharded"]
-    assert sharded["identical_to_serial"] is True
-    assert sharded["backend"] == "batched"
-    assert sharded["workers"] == 2
+def test_batched_identical_to_serial(suite):
+    _assert_identical_to_serial(suite, "batched")
 
 
-class TestPoolEfficiency:
-    """Machine-independent pool guard (satellite: no raw-wall compare)."""
-
-    def test_suite_value_meets_floor(self, suite_record):
-        from repro.analysis.bench import (
-            POOL_EFFICIENCY_FLOOR, check_pool_efficiency,
-        )
-        # The normalized form must hold on ANY machine, including this
-        # one: mc_runs=2 maximizes pool overhead per point, so passing
-        # here means the floor is genuinely conservative.
-        assert check_pool_efficiency(suite_record) == []
-        assert suite_record["speedups"]["pool_efficiency"] \
-            >= POOL_EFFICIENCY_FLOOR
-
-    def test_guard_flags_poor_scaling(self):
-        from repro.analysis.bench import check_pool_efficiency
-        bad = {"speedups": {"pool_efficiency": 0.2},
-               "workloads": {"mc_parallel": {"workers": 4}}}
-        problems = check_pool_efficiency(bad)
-        assert len(problems) == 1 and "0.20" in problems[0]
-        assert check_pool_efficiency({"speedups": {}}) == []
-
-
-class TestSparseCrossover:
-    def test_record_shape(self, suite_record):
-        from repro.spice.sparse import SPARSE_AUTO_THRESHOLD
-        record = suite_record["workloads"]["sparse_crossover"]
-        assert record["workload"] == "sparse_crossover"
-        assert record["auto_threshold"] == SPARSE_AUTO_THRESHOLD
-        sizes = record["sizes"]
-        assert [s["size"] for s in sizes] \
-            == sorted(s["size"] for s in sizes)
-        assert sizes[0]["cells"] == 1
-        for entry in sizes:
-            assert entry["dense_s"] > 0 and entry["sparse_s"] > 0
-            assert entry["nnz_factor"] >= entry["size"]
-        # The sweep must straddle the auto threshold, or the recorded
-        # crossover says nothing about the selection rule.
-        assert sizes[0]["size"] < SPARSE_AUTO_THRESHOLD
-        assert sizes[-1]["size"] > SPARSE_AUTO_THRESHOLD
-
-
-def test_trajectory_roundtrip(suite_record, tmp_path):
-    path = tmp_path / "BENCH_TEST.json"
-    write_trajectory(suite_record, str(path))
-    loaded = load_trajectory(str(path))
-    assert loaded["schema"] == BENCH_SCHEMA
-    assert loaded["workloads"]["mc_serial"]["solves"] \
-        == suite_record["workloads"]["mc_serial"]["solves"]
-    # The file is plain JSON (no dangling non-serializable values).
-    json.dumps(loaded)
+def test_sharded_batched_identical_to_serial(suite):
+    _assert_identical_to_serial(suite, "sharded_batched")
 
 
 class TestTracerOverhead:
@@ -228,56 +91,3 @@ class TestTracerOverhead:
         # estimator is noise-robust, but grant the same margin again
         # for CI machines under load.
         assert record["null_overhead"] <= 2 * TRACER_OVERHEAD_TOLERANCE
-        assert check_tracer_overhead(
-            {"workloads": {"tracer": record}},
-            tolerance=2 * TRACER_OVERHEAD_TOLERANCE) == []
-
-    def test_guard_flags_excess_overhead(self):
-        fat = {"workloads": {"tracer": {"null_overhead": 0.50}}}
-        problems = check_tracer_overhead(fat)
-        assert len(problems) == 1 and "NullTracer" in problems[0]
-        assert check_tracer_overhead({"workloads": {}}) == []
-
-    def test_suite_embeds_tracer_workload(self, suite_record):
-        tracer = suite_record["workloads"]["tracer"]
-        assert tracer["workload"] == "tracer"
-        assert tracer["null_overhead"] is not None
-        assert tracer["collecting_overhead"] > tracer["null_overhead"]
-
-
-def test_regression_guard(suite_record):
-    assert check_regression(suite_record, suite_record) == []
-    slower = copy.deepcopy(suite_record)
-    rate = slower["workloads"]["mc_serial"]["solves_per_s"]
-    slower["workloads"]["mc_serial"]["solves_per_s"] = rate * 0.5
-    problems = check_regression(slower, suite_record)
-    assert len(problems) == 1 and "mc_serial" in problems[0]
-    within = copy.deepcopy(suite_record)
-    within["workloads"]["mc_serial"]["solves_per_s"] = rate * 0.8
-    assert check_regression(within, suite_record) == []
-
-
-class TestCacheHitWorkload:
-    def test_record_shape_and_guarantee(self):
-        from repro.analysis.bench import bench_cache_hit
-
-        record = bench_cache_hit(runs=2)
-        assert record["workload"] == "cache_hit"
-        assert record["runs"] == 2
-        assert record["cold_wall_s"] > 0
-        assert record["warm_wall_s"] > 0
-        # Cold pass: every point misses then stores; warm pass: every
-        # point is served from the cache without touching the solver.
-        assert record["misses"] == 2 and record["stores"] == 2
-        assert record["hits"] == 2
-        assert record["warm_hit_rate"] == 1.0
-        assert record["corruptions"] == 0
-        assert record["warm_speedup"] > 1.0
-        assert record["warm_identical_to_cold"] is True
-        assert record["solves_per_s"] > 0  # cold-pass solve rate
-
-    def test_suite_embeds_cache_workload(self, suite_record):
-        cached = suite_record["workloads"]["cache_hit"]
-        assert cached["workload"] == "cache_hit"
-        assert cached["warm_identical_to_cold"] is True
-        assert cached["warm_hit_rate"] == 1.0

@@ -88,6 +88,13 @@ class TestArtifact:
         assert loaded["version"] == 2
         assert loaded["entries"] == board["entries"]
 
+    def test_write_creates_missing_parent_directory(self, board,
+                                                    tmp_path):
+        path = tmp_path / "new_dir" / "x.json"
+        assert write_leaderboard(board, str(path))["version"] == 1
+        assert load_leaderboard(str(path))["entries"] == board["entries"]
+        assert [p.name for p in path.parent.iterdir()] == ["x.json"]
+
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"schema": "something-else"}')

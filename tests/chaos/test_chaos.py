@@ -102,10 +102,15 @@ def _supervisor_victim(store_root, run_id):
 def _sigterm_victim(store_root, run_id, ready_path):
     def progress(index, value):
         # First merged row: the supervisor loop (and its SIGTERM
-        # handler) is live — tell the parent it may now shoot us.
+        # handler) is live — tell the parent it may now shoot us. Then
+        # hold the supervisor here until the signal lands, so a loaded
+        # machine cannot let the campaign finish before the kill.
         if not os.path.exists(ready_path):
             with open(ready_path, "w") as handle:
                 handle.write("ready")
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                time.sleep(0.01)
 
     service = CampaignService(store_root, config=_config())
     service.run(_spec(), run_id=run_id, progress=progress)

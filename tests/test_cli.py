@@ -149,38 +149,6 @@ class TestExperimentCommands:
         assert code == 0
         assert "no stored runs" in capsys.readouterr().out
 
-    def test_bench_appends_and_checks(self, tmp_path, capsys,
-                                      monkeypatch):
-        import repro.analysis.bench as bench
-
-        record = {
-            "schema": bench.BENCH_SCHEMA,
-            "workloads": {
-                "mc_serial": {"wall_s": 0.5, "solves": 10,
-                              "solves_per_s": 20.0},
-                "mc_parallel": {"wall_s": 0.4,
-                                "identical_to_serial": True},
-                "sweep": {"wall_s": 0.2, "solves": 5,
-                          "solves_per_s": 25.0},
-            },
-            "speedups": {},
-        }
-        monkeypatch.setattr(bench, "run_bench_suite",
-                            lambda **kwargs: record)
-        target = tmp_path / "BENCH.json"
-
-        code = main(["bench", "--out", str(target)])
-        assert code == 0
-        assert "(1 entry)" in capsys.readouterr().out
-        code = main(["bench", "--out", str(target)])
-        assert code == 0
-        assert "(2 entries)" in capsys.readouterr().out
-
-        code = main(["bench", "--out", str(target), "--check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no throughput regression" in out
-
     def test_check_experiments_smoke(self, capsys):
         code = main(["check", "--runs", "2", "--experiments"])
         out = capsys.readouterr().out
@@ -190,30 +158,9 @@ class TestExperimentCommands:
         assert "FAIL" not in out
 
 
-def _bench_stub_record():
-    import repro.analysis.bench as bench
-
-    return {
-        "schema": bench.BENCH_SCHEMA,
-        "workloads": {
-            "mc_serial": {"wall_s": 0.5, "solves": 10,
-                          "solves_per_s": 20.0},
-            "mc_parallel": {"wall_s": 0.4,
-                            "identical_to_serial": True},
-            "mc_batched": {"wall_s": 0.3, "solves": 10,
-                           "solves_per_s": 33.0, "backend": "batched",
-                           "identical_to_serial": True},
-            "sweep": {"wall_s": 0.2, "solves": 5,
-                      "solves_per_s": 25.0},
-        },
-        "speedups": {},
-    }
-
-
 @pytest.mark.experiment
 class TestCliErrorPaths:
-    """Damaged stores and bad baselines exit nonzero with guidance,
-    never a traceback."""
+    """Damaged stores exit nonzero with guidance, never a traceback."""
 
     def _store_run(self, tmp_path, capsys) -> str:
         code = main(["mc", "sstvs", "--runs", "2",
@@ -248,51 +195,6 @@ class TestCliErrorPaths:
         out = capsys.readouterr().out
         assert code == 0
         assert "truncated" not in out
-
-    def test_bench_check_missing_baseline(self, tmp_path, capsys,
-                                          monkeypatch):
-        import repro.analysis.bench as bench
-
-        monkeypatch.setattr(bench, "run_bench_suite",
-                            lambda **kwargs: _bench_stub_record())
-        monkeypatch.chdir(tmp_path)  # hide the repo's BENCH_PR2.json
-        target = tmp_path / "MISSING.json"
-        code = main(["bench", "--out", str(target), "--check"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "no baseline file" in out
-        assert "repro bench --out" in out
-
-    def test_bench_check_invalid_json_baseline(self, tmp_path, capsys,
-                                               monkeypatch):
-        import repro.analysis.bench as bench
-
-        monkeypatch.setattr(bench, "run_bench_suite",
-                            lambda **kwargs: _bench_stub_record())
-        target = tmp_path / "BROKEN.json"
-        target.write_text('{"schema": "repro-bench-v1", truncated')
-        code = main(["bench", "--out", str(target), "--check"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "not valid JSON" in out
-        assert "re-record" in out
-
-    def test_bench_check_unknown_baseline_schema(self, tmp_path, capsys,
-                                                 monkeypatch):
-        import json
-
-        import repro.analysis.bench as bench
-
-        monkeypatch.setattr(bench, "run_bench_suite",
-                            lambda **kwargs: _bench_stub_record())
-        target = tmp_path / "OLD.json"
-        target.write_text(json.dumps({"schema": "repro-bench-v99",
-                                      "workloads": {}}))
-        code = main(["bench", "--out", str(target), "--check"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "repro-bench-v99" in out
-        assert "repro bench --out" in out
 
 
 class TestCacheServeParser:

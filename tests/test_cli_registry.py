@@ -11,6 +11,7 @@ import pytest
 
 from repro.cells.registry import cell_names
 from repro.cli import build_parser, main
+from repro.pdk.corners import CORNER_SHIFTS
 from repro.pdk.registry import node_names
 
 
@@ -88,6 +89,29 @@ class TestCommands:
         assert board["schema"] == "repro-leaderboard-v1"
         assert board["version"] == 1
         assert len(board["entries"]) == 1
+
+    def test_bench_requires_leaderboard(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench"])
+        assert err.value.code == 2
+        assert "--leaderboard" in capsys.readouterr().err
+
+    def test_bench_help_drops_timing_suite_options(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--help"])
+        assert err.value.code == 0
+        text = capsys.readouterr().out
+        assert "--leaderboard" in text
+        for gone in ("--runs", "--step", "--check", "--workers"):
+            assert gone not in text
+
+    def test_bench_rejects_unknown_corner(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--leaderboard", "--corners", "xx"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        for corner in CORNER_SHIFTS:
+            assert corner in message
 
     def test_check_accepts_cells_flag(self):
         args = build_parser().parse_args(["check", "--cells"])
