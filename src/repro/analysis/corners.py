@@ -117,7 +117,6 @@ def pvt_spec(kind: str, vddi: float, vddo: float,
              corners=DEFAULT_CORNERS, temperatures=DEFAULT_TEMPS,
              plan: StimulusPlan | None = None, sizing=None,
              workers: int = 1,
-             chunk_size: int | None = None,
              pdk_node: str = "ptm90") -> ExperimentSpec:
     """Describe a PVT-corner campaign declaratively."""
     points = [ExperimentPoint((corner, float(temp)),
@@ -126,8 +125,7 @@ def pvt_spec(kind: str, vddi: float, vddo: float,
               for corner in corners for temp in temperatures]
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
-        stage="characterize", codec="metrics",
-        workers=workers, chunk_size=chunk_size,
+        stage="characterize", codec="metrics", workers=workers,
         metadata={"experiment": "pvt", "kind": kind, "vddi": vddi,
                   "vddo": vddo, "corners": list(corners),
                   "temperatures": [float(t) for t in temperatures],
@@ -162,7 +160,6 @@ def pvt_report(kind: str, vddi: float, vddo: float,
                corners=DEFAULT_CORNERS, temperatures=DEFAULT_TEMPS,
                plan: StimulusPlan | None = None,
                sizing=None, workers: int = 1,
-               chunk_size: int | None = None,
                resume: ResultSet | None = None,
                store=None, run_id: str | None = None,
                cache=None, pdk_node: str = "ptm90") -> PvtReport:
@@ -173,8 +170,7 @@ def pvt_report(kind: str, vddi: float, vddo: float,
     """
     spec = pvt_spec(kind, vddi, vddo, corners=corners,
                     temperatures=temperatures, plan=plan, sizing=sizing,
-                    workers=workers, chunk_size=chunk_size,
-                    pdk_node=pdk_node)
+                    workers=workers, pdk_node=pdk_node)
     resultset = run_experiment(spec, resume=resume, store=store,
                                run_id=run_id, cache=cache)
     return report_from_resultset(resultset, kind=kind, vddi=vddi,

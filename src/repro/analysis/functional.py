@@ -80,7 +80,6 @@ def _batch_measure(params_list: list) -> list:
 def functional_spec(kind: str, grid: SweepGrid | None = None,
                     pdk: Pdk | None = None, sizing=None,
                     workers: int = 1,
-                    chunk_size: int | None = None,
                     backend: str | None = None,
                     batch_width: int = 128,
                     solver: str | None = None) -> ExperimentSpec:
@@ -94,8 +93,7 @@ def functional_spec(kind: str, grid: SweepGrid | None = None,
               for vddo in grid.vddo_values]
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
-        stage="quick_delays", codec="json",
-        workers=workers, chunk_size=chunk_size,
+        stage="quick_delays", codec="json", workers=workers,
         backend=backend, batch_measure=_batch_measure,
         batch_width=batch_width, solver=solver,
         metadata={"experiment": "functional", "kind": kind,
@@ -127,7 +125,6 @@ def report_from_resultset(resultset: ResultSet,
 def validate_functionality(kind: str, grid: SweepGrid | None = None,
                            pdk: Pdk | None = None, sizing=None,
                            workers: int = 1,
-                           chunk_size: int | None = None,
                            backend: str | None = None,
                            batch_width: int = 128,
                            solver: str | None = None,
@@ -144,8 +141,7 @@ def validate_functionality(kind: str, grid: SweepGrid | None = None,
     and batched lane waveforms are bitwise the serial ones);
     ``solver`` picks the linear kernel without entering the cache key.
     """
-    spec = functional_spec(kind, grid, pdk=pdk, sizing=sizing,
-                           workers=workers, chunk_size=chunk_size,
+    spec = functional_spec(kind, grid, pdk=pdk, sizing=sizing, workers=workers,
                            backend=backend, batch_width=batch_width,
                            solver=solver)
     resultset = run_experiment(spec, resume=resume, store=store,

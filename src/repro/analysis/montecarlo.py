@@ -67,8 +67,6 @@ class MonteCarloConfig:
     #: with a fault plan are forced serial (plans count firings in
     #: mutable in-process state).
     workers: int = 1
-    #: Samples per pool submission; None picks ~4 chunks per worker.
-    chunk_size: int | None = None
     #: Execution backend: None keeps the workers-derived default
     #: ("pool" when workers > 1, else "serial"); "batched" stacks
     #: samples into SPMD lanes (see :mod:`repro.spice.batch`), and
@@ -199,7 +197,7 @@ def monte_carlo_spec(kind: str, vddi: float, vddo: float,
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
         stage="characterize", codec="metrics",
-        workers=config.workers, chunk_size=config.chunk_size,
+        workers=config.workers,
         faults=config.faults, max_failures=config.max_failures,
         seed=config.seed, backend=config.backend,
         batch_measure=_batch_measure, batch_width=config.batch_width,

@@ -175,8 +175,8 @@ def _measure(params: tuple) -> VtcResult:
 
 
 def vtc_spec(kind: str, pairs=DEFAULT_PAIRS, pdk: Pdk | None = None,
-             points: int = 121, sizing=None, workers: int = 1,
-             chunk_size: int | None = None) -> ExperimentSpec:
+             points: int = 121, sizing=None,
+             workers: int = 1) -> ExperimentSpec:
     """Describe a VTC survey declaratively."""
     if points < 11:
         raise AnalysisError("need at least 11 sweep points")
@@ -188,8 +188,7 @@ def vtc_spec(kind: str, pairs=DEFAULT_PAIRS, pdk: Pdk | None = None,
     ]
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=spec_points,
-        stage="extract_vtc", codec="vtc",
-        workers=workers, chunk_size=chunk_size,
+        stage="extract_vtc", codec="vtc", workers=workers,
         metadata={"experiment": "vtc", "kind": kind,
                   "pairs": [[float(a), float(b)] for a, b in pairs],
                   "points": points,
@@ -213,7 +212,6 @@ def report_from_resultset(resultset: ResultSet,
 
 def vtc_report(kind: str, pairs=DEFAULT_PAIRS, pdk: Pdk | None = None,
                points: int = 121, sizing=None, workers: int = 1,
-               chunk_size: int | None = None,
                resume: ResultSet | None = None,
                store=None, run_id: str | None = None,
                cache=None) -> VtcReport:
@@ -225,7 +223,7 @@ def vtc_report(kind: str, pairs=DEFAULT_PAIRS, pdk: Pdk | None = None,
     instead of raising, so one degenerate pair doesn't sink the survey.
     """
     spec = vtc_spec(kind, pairs=pairs, pdk=pdk, points=points,
-                    sizing=sizing, workers=workers, chunk_size=chunk_size)
+                    sizing=sizing, workers=workers)
     resultset = run_experiment(spec, resume=resume, store=store,
                                run_id=run_id, cache=cache)
     return report_from_resultset(resultset, kind=kind)

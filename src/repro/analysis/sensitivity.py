@@ -80,8 +80,7 @@ def sensitivity_spec(kind: str, vddi: float, vddo: float,
                      pdk: Pdk | None = None,
                      base_sizing: SstvsSizing | None = None,
                      plan: StimulusPlan | None = None,
-                     workers: int = 1,
-                     chunk_size: int | None = None) -> ExperimentSpec:
+                     workers: int = 1) -> ExperimentSpec:
     """Describe a sensitivity campaign declaratively (validates args)."""
     if get_cell(kind).sizing_type is not SstvsSizing:
         raise AnalysisError(
@@ -99,8 +98,7 @@ def sensitivity_spec(kind: str, vddi: float, vddo: float,
               for knob in knobs]
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
-        stage="characterize", codec="sensitivity",
-        workers=workers, chunk_size=chunk_size,
+        stage="characterize", codec="sensitivity", workers=workers,
         metadata={"experiment": "sensitivity", "kind": kind,
                   "vddi": vddi, "vddo": vddo, "knobs": list(knobs),
                   "relative_step": relative_step,
@@ -128,7 +126,6 @@ def metric_sensitivities(kind: str, vddi: float, vddo: float,
                          base_sizing: SstvsSizing | None = None,
                          plan: StimulusPlan | None = None,
                          workers: int = 1,
-                         chunk_size: int | None = None,
                          resume: ResultSet | None = None,
                          store=None, run_id: str | None = None,
                          cache=None
@@ -141,7 +138,7 @@ def metric_sensitivities(kind: str, vddi: float, vddo: float,
     spec = sensitivity_spec(kind, vddi, vddo, knobs=knobs,
                             relative_step=relative_step, pdk=pdk,
                             base_sizing=base_sizing, plan=plan,
-                            workers=workers, chunk_size=chunk_size)
+                            workers=workers)
     resultset = run_experiment(spec, resume=resume, store=store,
                                run_id=run_id, cache=cache)
     return sensitivities_from_resultset(resultset)

@@ -120,8 +120,8 @@ def _measure(params: tuple):
 
 
 def sweep_spec(kind: str, grid: SweepGrid | None = None,
-               pdk: Pdk | None = None, sizing=None, workers: int = 1,
-               chunk_size: int | None = None) -> ExperimentSpec:
+               pdk: Pdk | None = None, sizing=None,
+               workers: int = 1) -> ExperimentSpec:
     """Describe a delay-surface sweep declaratively."""
     grid = grid or SweepGrid()
     pdk = pdk or Pdk()
@@ -131,8 +131,7 @@ def sweep_spec(kind: str, grid: SweepGrid | None = None,
               for j, vddo in enumerate(grid.vddo_values)]
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
-        stage="quick_delays", codec="quick_delays",
-        workers=workers, chunk_size=chunk_size,
+        stage="quick_delays", codec="quick_delays", workers=workers,
         metadata={"experiment": "sweep", "kind": kind,
                   "vddi_values": [float(v) for v in grid.vddi_values],
                   "vddo_values": [float(v) for v in grid.vddo_values],
@@ -175,7 +174,6 @@ def surface_from_resultset(resultset: ResultSet,
 def sweep_delay_surface(kind: str, grid: SweepGrid | None = None,
                         pdk: Pdk | None = None, sizing=None,
                         progress=None, workers: int = 1,
-                        chunk_size: int | None = None,
                         resume: ResultSet | None = None,
                         store=None,
                         run_id: str | None = None,
@@ -190,8 +188,7 @@ def sweep_delay_surface(kind: str, grid: SweepGrid | None = None,
     missing cells.
     """
     grid = grid or SweepGrid()
-    spec = sweep_spec(kind, grid, pdk=pdk, sizing=sizing, workers=workers,
-                      chunk_size=chunk_size)
+    spec = sweep_spec(kind, grid, pdk=pdk, sizing=sizing, workers=workers)
     engine_progress = None
     if progress is not None:
         def engine_progress(index, q):

@@ -50,7 +50,6 @@ def _measure(params: tuple) -> ShifterMetrics:
 def temperature_spec(kind: str, vddi: float, vddo: float,
                      temperatures=PAPER_TEMPERATURES, sizing=None,
                      workers: int = 1,
-                     chunk_size: int | None = None,
                      pdk_node: str = "ptm90") -> ExperimentSpec:
     """Describe a nominal temperature sweep declaratively."""
     points = [ExperimentPoint(float(temp),
@@ -59,8 +58,7 @@ def temperature_spec(kind: str, vddi: float, vddo: float,
               for temp in temperatures]
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
-        stage="characterize", codec="metrics",
-        workers=workers, chunk_size=chunk_size,
+        stage="characterize", codec="metrics", workers=workers,
         metadata={"experiment": "temperature", "kind": kind,
                   "vddi": vddi, "vddo": vddo,
                   "temperatures": [float(t) for t in temperatures],
@@ -85,7 +83,6 @@ def points_from_resultset(resultset: ResultSet) -> list[TemperaturePoint]:
 def sweep_temperature(kind: str, vddi: float, vddo: float,
                       temperatures=PAPER_TEMPERATURES,
                       sizing=None, workers: int = 1,
-                      chunk_size: int | None = None,
                       resume: ResultSet | None = None,
                       store=None,
                       run_id: str | None = None,
@@ -94,7 +91,7 @@ def sweep_temperature(kind: str, vddi: float, vddo: float,
     """Nominal-process characterization at each temperature."""
     spec = temperature_spec(kind, vddi, vddo, temperatures=temperatures,
                             sizing=sizing, workers=workers,
-                            chunk_size=chunk_size, pdk_node=pdk_node)
+                            pdk_node=pdk_node)
     resultset = run_experiment(spec, resume=resume, store=store,
                                run_id=run_id, cache=cache)
     return points_from_resultset(resultset)
@@ -105,7 +102,6 @@ def monte_carlo_over_temperature(kind: str, vddi: float, vddo: float,
                                  temperatures=PAPER_TEMPERATURES,
                                  seed: int = 20080310,
                                  sizing=None, workers: int = 1,
-                                 chunk_size: int | None = None,
                                  pdk_node: str = "ptm90"
                                  ) -> dict[float, MonteCarloResult]:
     """Monte Carlo repeated per temperature (paper's validation).
@@ -118,7 +114,6 @@ def monte_carlo_over_temperature(kind: str, vddi: float, vddo: float,
     for temp in temperatures:
         config = MonteCarloConfig(runs=runs, seed=seed,
                                   temperature_c=temp, workers=workers,
-                                  chunk_size=chunk_size,
                                   pdk_node=pdk_node)
         results[temp] = run_monte_carlo(kind, vddi, vddo, config,
                                         sizing=sizing)

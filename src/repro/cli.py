@@ -41,12 +41,14 @@ every subcommand, and unknown names fail listing what *is* registered.
 Every campaign subcommand is a thin spec builder over the unified
 experiment engine (:mod:`repro.runtime.experiment`) and shares these
 flags: ``--workers N`` distributes samples over a process pool
-(results identical to a serial run), ``--out DIR`` persists the run as
-``DIR/<run-id>/manifest.json`` + ``rows.jsonl`` with full provenance,
-``--resume RUN-ID`` reloads a stored (possibly partial) run and
-computes only the missing points, and ``--trace`` / ``--profile``
-record per-point solver telemetry into the manifest's
-``repro-trace-v1`` section (rendered by ``repro trace <run-id>``).
+(results identical to a serial run; the default is every CPU the
+process may run on, and ``--workers 1`` runs serially in-process),
+``--out DIR`` persists the run as ``DIR/<run-id>/manifest.json`` +
+``rows.jsonl`` with full provenance, ``--resume RUN-ID`` reloads a
+stored (possibly partial) run and computes only the missing points,
+and ``--trace`` / ``--profile`` record per-point solver telemetry into
+the manifest's ``repro-trace-v1`` section (rendered by
+``repro trace <run-id>``).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from repro.cells.registry import cell_names
 from repro.core.metrics import METRIC_FIELDS, METRIC_LABELS, METRIC_UNITS
 from repro.pdk.corners import CORNER_SHIFTS
 from repro.pdk.registry import node_names
+from repro.runtime.parallel import usable_cpus
 from repro.units import format_eng
 
 
@@ -93,10 +96,25 @@ def _add_backend_arg(parser) -> None:
                              "unaffected)")
 
 
-def _add_campaign_args(parser, workers_default: int = 1) -> None:
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1 (exit 2 otherwise)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_workers_arg(parser, help_text: str) -> None:
+    parser.add_argument("--workers", type=_positive_int,
+                        default=usable_cpus(),
+                        help=f"{help_text} (default: %(default)s, the "
+                             f"CPUs this process may run on)")
+
+
+def _add_campaign_args(parser) -> None:
     """The shared campaign flags: --workers / --out / --resume / --trace."""
-    parser.add_argument("--workers", type=int, default=workers_default,
-                        help="process-pool width (1 = serial)")
+    _add_workers_arg(parser, "process-pool width, one point per task; "
+                             "1 runs serially in-process")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="artifact-store root; persists the run as "
                              "DIR/<run-id>/ with a provenance manifest")
@@ -1120,8 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--once", action="store_true",
                    help="drain the directory and exit instead of "
                         "polling until SIGTERM")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent worker processes")
+    _add_workers_arg(p, "concurrent worker processes")
     p.add_argument("--chunk-size", type=int, default=4,
                    help="points per worker chunk")
     p.add_argument("--heartbeat", type=float, default=30.0,

@@ -500,8 +500,7 @@ def characterize_kinds_spec(kinds, vddi: float, vddo: float, pdk=None,
                             plan: StimulusPlan | None = None,
                             load_cap: float = 1e-15, sizing=None,
                             driver_scale: float = 1.0,
-                            workers: int = 1,
-                            chunk_size: int | None = None):
+                            workers: int = 1):
     """Describe a multi-kind characterization campaign declaratively."""
     from repro.runtime.experiment import ExperimentPoint, ExperimentSpec
     if pdk is None:
@@ -512,8 +511,7 @@ def characterize_kinds_spec(kinds, vddi: float, vddo: float, pdk=None,
               for kind in kinds]
     return ExperimentSpec(
         name=CHARACTERIZE_EXPERIMENT, measure=_kind_measure,
-        points=points, stage="characterize", codec="metrics",
-        workers=workers, chunk_size=chunk_size,
+        points=points, stage="characterize", codec="metrics", workers=workers,
         metadata={"experiment": "characterize", "kinds": list(kinds),
                   "vddi": vddi, "vddo": vddo,
                   "pdk_node": getattr(pdk, "node", "ptm90")})
@@ -523,8 +521,7 @@ def characterize_kinds(kinds, vddi: float, vddo: float, pdk=None,
                        plan: StimulusPlan | None = None,
                        load_cap: float = 1e-15, sizing=None,
                        driver_scale: float = 1.0, workers: int = 1,
-                       chunk_size: int | None = None, resume=None,
-                       store=None,
+                       resume=None, store=None,
                        run_id: str | None = None, cache=None) -> dict:
     """Characterize several kinds at one operating point.
 
@@ -539,7 +536,7 @@ def characterize_kinds(kinds, vddi: float, vddo: float, pdk=None,
     spec = characterize_kinds_spec(kinds, vddi, vddo, pdk=pdk, plan=plan,
                                    load_cap=load_cap, sizing=sizing,
                                    driver_scale=driver_scale,
-                                   workers=workers, chunk_size=chunk_size)
+                                   workers=workers)
     resultset = run_experiment(spec, resume=resume, store=store,
                                run_id=run_id, cache=cache)
     nan = float("nan")

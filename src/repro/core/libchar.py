@@ -175,8 +175,7 @@ def _grid_measure(params: tuple) -> dict:
 def libchar_spec(kind: str, vddi: float, vddo: float, pdk,
                  slews: Sequence[float] = DEFAULT_SLEWS,
                  loads: Sequence[float] = DEFAULT_LOADS,
-                 settle: float = 3e-9, sizing=None, workers: int = 1,
-                 chunk_size: int | None = None):
+                 settle: float = 3e-9, sizing=None, workers: int = 1):
     """Describe an NLDM grid characterization declaratively."""
     from repro.runtime.experiment import ExperimentPoint, ExperimentSpec
     slews = np.asarray(sorted(slews), dtype=float)
@@ -190,7 +189,6 @@ def libchar_spec(kind: str, vddi: float, vddo: float, pdk,
     return ExperimentSpec(
         name="libchar", measure=_grid_measure, points=points,
         stage="nldm", codec="json", workers=workers,
-        chunk_size=chunk_size,
         metadata={"experiment": "libchar", "kind": kind, "vddi": vddi,
                   "vddo": vddo, "slews": [float(s) for s in slews],
                   "loads": [float(c) for c in loads],
@@ -202,7 +200,6 @@ def characterize_cell(kind: str, pdk, vddi: float, vddo: float,
                       loads: Sequence[float] = DEFAULT_LOADS,
                       settle: float = 3e-9,
                       sizing=None, workers: int = 1,
-                      chunk_size: int | None = None,
                       store=None,
                       run_id: str | None = None,
                       cache=None) -> CellCharacterization:
@@ -217,8 +214,7 @@ def characterize_cell(kind: str, pdk, vddi: float, vddo: float,
     slews = np.asarray(sorted(slews), dtype=float)
     loads = np.asarray(sorted(loads), dtype=float)
     spec = libchar_spec(kind, vddi, vddo, pdk, slews=slews, loads=loads,
-                        settle=settle, sizing=sizing, workers=workers,
-                        chunk_size=chunk_size)
+                        settle=settle, sizing=sizing, workers=workers)
     resultset = run_experiment(spec, store=store, run_id=run_id,
                                cache=cache)
     failures = resultset.sample_failures()

@@ -101,21 +101,29 @@ class MetricStatistics:
 def aggregate(samples: list[ShifterMetrics]) -> MetricStatistics:
     """Mean/sigma statistics over a list of metric samples.
 
-    Non-functional samples are *included* in the statistics (the paper
-    reports 100 % functionality, so this only matters for ablations) but
-    tracked via ``functional_yield``. Raises ValueError on empty input.
+    Each metric's mean and sigma cover its finite values only, so a
+    non-functional sample whose metrics are NaN does not wipe out the
+    statistics; ``runs`` and ``functional_yield`` still count every
+    sample. A metric with no finite value reports NaN. Raises
+    ValueError on empty input.
     """
     import numpy as np
 
     if not samples:
         raise ValueError("cannot aggregate zero samples")
-    arrays = {name: np.asarray([getattr(s, name) for s in samples])
-              for name in METRIC_FIELDS}
-    mean = ShifterMetrics(**{k: float(np.mean(v)) for k, v in arrays.items()},
+    means, stds = {}, {}
+    for name in METRIC_FIELDS:
+        values = np.asarray([getattr(s, name) for s in samples])
+        finite = values[np.isfinite(values)]
+        if finite.size == 0:
+            means[name] = stds[name] = np.nan
+            continue
+        means[name] = float(np.mean(finite))
+        stds[name] = (float(np.std(finite, ddof=1)) if finite.size > 1
+                      else 0.0)
+    mean = ShifterMetrics(**means,
                           functional=all(s.functional for s in samples))
-    std = ShifterMetrics(**{k: float(np.std(v, ddof=1)) if len(samples) > 1
-                            else 0.0 for k, v in arrays.items()},
-                         functional=True)
+    std = ShifterMetrics(**stds, functional=True)
     yield_frac = sum(1 for s in samples if s.functional) / len(samples)
     return MetricStatistics(mean=mean, std=std, runs=len(samples),
                             functional_yield=yield_frac)

@@ -115,7 +115,7 @@ def floorplan_spec(source=None, design: SocDesign | None = None,
                    leakage: str = "none",
                    require_signoff: bool = False,
                    weights: ObjectiveWeights | None = None,
-                   workers: int = 1, chunk_size: int | None = None):
+                   workers: int = 1):
     """Describe a floorplan campaign declaratively.
 
     Points span ``strategies`` x ``restarts`` annealing seeds
@@ -166,8 +166,7 @@ def floorplan_spec(source=None, design: SocDesign | None = None,
                  weights_tuple)))
     return ExperimentSpec(
         name=FLOORPLAN_EXPERIMENT, measure=_floorplan_measure,
-        points=points, stage="floorplan", codec="json",
-        workers=workers, chunk_size=chunk_size,
+        points=points, stage="floorplan", codec="json", workers=workers,
         metadata={"experiment": FLOORPLAN_EXPERIMENT,
                   "pdk_node": node, "blocks": block_count,
                   "strategies": list(strategies), "seed": seed,

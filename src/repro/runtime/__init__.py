@@ -18,7 +18,7 @@ that make every solve survivable and observable:
 * :class:`CampaignDiagnostics` / :class:`SampleFailure` — per-campaign
   aggregation of quarantined samples for the analysis drivers;
 * :func:`parallel_map` — seed-stable process-pool execution of
-  campaign samples, with chunked submission and completion-order
+  campaign samples, one task per submission with completion-order
   delivery, identical to serial execution at ``workers = 1``;
 * :mod:`repro.runtime.experiment` — the unified experiment engine:
   declarative :class:`ExperimentSpec` campaigns executed by
@@ -55,7 +55,7 @@ from repro.runtime.faults import (
     FAULT_KINDS, FaultPlan, FaultSpec, SOLVE_FAULT_KINDS, active_plan,
     inject,
 )
-from repro.runtime.parallel import default_chunk_size, parallel_map
+from repro.runtime.parallel import parallel_map
 from repro.runtime.policy import (
     DEFAULT_GMIN_LADDER, DEFAULT_SOURCE_RAMP, RetryPolicy,
 )
@@ -109,7 +109,6 @@ __all__ = [
     "active_tracer",
     "aggregate_traces",
     "campaign_trace_mode",
-    "default_chunk_size",
     "inject",
     "make_tracer",
     "parallel_map",

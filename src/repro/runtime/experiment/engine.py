@@ -8,8 +8,9 @@ fault injection, and campaign quarantine — so every driver gets, for
 free:
 
 * **workers** — ``spec.workers > 1`` distributes points over a process
-  pool; results are bitwise identical to a serial run because the
-  measurement derives everything from its point params.
+  pool, one point per task, so an idle worker always takes the next
+  pending point; results are bitwise identical to a serial run because
+  the measurement derives everything from its point params.
 * **quarantine** — a point whose measurement raises is recorded as an
   ``err`` row (with stage and error text) instead of aborting, with an
   optional ``max_failures`` abort threshold.
@@ -85,14 +86,13 @@ def _measure_worker(task: tuple, context: tuple):
 
     Module-level so the process pool can pickle it by reference. The
     task is just ``(index, params)``; everything task-invariant
-    (measure function, stage, trace mode, solver) rides in ``context``,
-    pickled once per chunk instead of once per point. Per-point
-    failures are encoded in the return value rather than raised —
-    quarantine must survive the pool boundary. Trace mode and solver
-    ride in the context (never in ambient process state) so pooled
-    workers behave exactly like a serial run; each point gets a fresh
-    tracer and its snapshot comes back with the outcome, as does the
-    point's solve-counter delta.
+    (measure function, stage, trace mode, solver) rides in ``context``.
+    Per-point failures are encoded in the return value rather than
+    raised — quarantine must survive the pool boundary. Trace mode and
+    solver ride in the context (never in ambient process state) so
+    pooled workers behave exactly like a serial run; each point gets a
+    fresh tracer and its snapshot comes back with the outcome, as does
+    the point's solve-counter delta.
     """
     index, params = task
     measure, stage, trace_mode, solver = context
@@ -351,8 +351,7 @@ def run_experiment(spec: ExperimentSpec, *, progress=None, resume=None,
                              spec.stage, spec.solver)
             for outcomes, evicted, stats in parallel_map(
                     _batch_chunk_worker, chunk_tasks,
-                    workers=spec.workers, chunk_size=1,
-                    context=batch_context):
+                    workers=spec.workers, context=batch_context):
                 add_solve_stats(*stats)
                 if evicted is not None:
                     _LOG.warning(
@@ -372,12 +371,14 @@ def run_experiment(spec: ExperimentSpec, *, progress=None, resume=None,
                         _quarantine(ordinals[index], index, stage,
                                     message)
         else:
+            # An explicit "serial" backend stays in-process whatever
+            # ``workers`` says (the CLI defaults it to every CPU).
+            workers = 1 if spec.backend == "serial" else spec.workers
             tasks = [(point.index, point.params) for point in pending]
             point_context = (spec.measure, spec.stage, trace_mode,
                              spec.solver)
             for outcome in parallel_map(_measure_worker, tasks,
-                                        workers=spec.workers,
-                                        chunk_size=spec.chunk_size,
+                                        workers=workers,
                                         context=point_context):
                 add_solve_stats(*outcome[-1])
                 if outcome[0] == "ok":

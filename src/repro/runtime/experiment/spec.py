@@ -89,8 +89,8 @@ class ExperimentSpec:
             ``"characterize"``, ``"quick_delays"``).
         codec: name of the payload codec used when the result set is
             persisted (see :mod:`repro.runtime.experiment.resultset`).
-        workers: process-pool width; 1 runs serially in-process.
-        chunk_size: tasks per pool submission (None = auto).
+        workers: process-pool width; 1 (the library default) runs
+            serially in-process. The pool takes one point per task.
         faults: optional deterministic fault plan; forces serial
             execution because plans count firings in mutable in-process
             state.
@@ -139,7 +139,6 @@ class ExperimentSpec:
     stage: str = "measure"
     codec: str = "json"
     workers: int = 1
-    chunk_size: int | None = None
     faults: object | None = None
     max_failures: int | None = None
     seed: int | None = None

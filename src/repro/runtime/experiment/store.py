@@ -17,7 +17,7 @@ the run:
 * ``retry_policy`` — the solver escalation schedule as a plain dict;
 * ``pdk_fingerprint`` — a hash over every model card the PDK can
   produce, so a stored run is falsifiable against model changes;
-* ``workers`` / ``chunk_size`` / ``wall_s`` — how it was executed and
+* ``workers`` / ``wall_s`` — how it was executed and
   how long it took;
 * interpreter and library versions.
 
@@ -103,7 +103,6 @@ def collect_provenance(spec=None, wall_s: float | None = None) -> dict:
         "pdk_node": pdk_node,
         "pdk_fingerprint": pdk_fingerprint(pdk_node),
         "workers": getattr(spec, "workers", None),
-        "chunk_size": getattr(spec, "chunk_size", None),
         "wall_s": wall_s,
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -11,15 +11,17 @@ ones, sample for sample.
 
 Design points:
 
-* **Chunked submission** — tasks are grouped into chunks so per-task
-  IPC overhead stays small relative to sample runtime; a chunk is one
-  pickled round trip.
-* **Completion order** — results are yielded as their chunk finishes,
+* **One task per submission** — an idle worker always takes the next
+  pending task, so none waits behind others in a shared batch. Dispatch
+  costs well under a millisecond per task, against hundreds for a
+  solver point; cheaper work is batched by the caller into its own
+  tasks (the batched backend ships one lane group per task).
+* **Completion order** — results are yielded as each task finishes,
   not in task order. Workers embed the sample index in their return
   value, and drivers sort at the end, so ordering is an observability
   property (progress callbacks), not a correctness one.
 * **Interrupt safety** — when the consumer stops iterating (Ctrl-C, an
-  abort threshold), the generator's cleanup cancels outstanding chunks
+  abort threshold), the generator's cleanup cancels outstanding tasks
   and shuts the pool down without waiting, preserving the
   partial-result semantics of the serial path.
 * **Worker exceptions propagate** in both modes. Campaigns that must
@@ -36,27 +38,28 @@ attached.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _run_chunk(worker: Callable, chunk: Sequence, context=None) -> list:
-    if context is None:
-        return [worker(task) for task in chunk]
-    return [worker(task, context) for task in chunk]
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), at least 1.
 
-
-def default_chunk_size(n_tasks: int, workers: int) -> int:
-    """Roughly four chunks per worker, so stragglers rebalance."""
-    return max(1, -(-n_tasks // (workers * 4)))
+    Falls back to ``os.cpu_count()`` where the platform has no
+    affinity call.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def parallel_map(worker: Callable[[T], R], tasks: Iterable[T], *,
                  workers: int = 1,
-                 chunk_size: int | None = None,
                  context=None) -> Iterator[R]:
     """Yield ``worker(task)`` for every task, possibly from a pool.
 
@@ -68,36 +71,28 @@ def parallel_map(worker: Callable[[T], R], tasks: Iterable[T], *,
         tasks: task values; consumed eagerly.
         workers: ``<= 1`` runs serially in-process (no pool, no pickle,
             task order preserved) — the behavior-identical default.
-        chunk_size: tasks per pool submission; default
-            :func:`default_chunk_size`.
         context: optional task-invariant payload. When given, the
-            worker is called as ``worker(task, context)`` and the
-            context is pickled **once per chunk submission** instead of
-            once per task — campaign specs put the heavy shared
-            arguments (measure function, stage, trace mode, solver)
-            here so per-point task tuples stay tiny.
+            worker is called as ``worker(task, context)``, so
+            task-invariant arguments (measure function, stage, trace
+            mode, solver) stay out of the per-point task tuples.
 
     Yields results in completion order (== task order when serial).
     """
     tasks = list(tasks)
+    extra = () if context is None else (context,)
     if workers is None or workers <= 1 or len(tasks) <= 1:
         for task in tasks:
-            yield worker(task) if context is None else worker(task, context)
+            yield worker(task, *extra)
         return
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(tasks), workers)
-    chunks = [tasks[i:i + chunk_size]
-              for i in range(0, len(tasks), chunk_size)]
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else None)
-    executor = ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+    executor = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                    mp_context=ctx)
     try:
-        futures = [executor.submit(_run_chunk, worker, chunk, context)
-                   for chunk in chunks]
+        futures = [executor.submit(worker, task, *extra)
+                   for task in tasks]
         for future in as_completed(futures):
-            for result in future.result():
-                yield result
+            yield future.result()
     finally:
         executor.shutdown(wait=False, cancel_futures=True)

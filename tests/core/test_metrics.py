@@ -67,10 +67,28 @@ class TestAggregate:
         stats = aggregate([metrics()])
         assert "yield=100.0%" in stats.pretty()
 
-    def test_nan_samples_propagate_not_crash(self):
+    def test_nan_samples_excluded_from_statistics(self):
         nan = float("nan")
         broken = ShifterMetrics(nan, nan, nan, nan, nan, nan,
                                 functional=False)
-        stats = aggregate([metrics(), broken])
+        a, b = metrics(1.0), metrics(3.0)
+        stats = aggregate([a, broken, b])
+        clean = aggregate([a, b])
+        for name in METRIC_FIELDS:
+            # Bitwise: the NaN sample contributes nothing.
+            assert getattr(stats.mean, name).hex() \
+                == getattr(clean.mean, name).hex()
+            assert getattr(stats.std, name).hex() \
+                == getattr(clean.std, name).hex()
+        assert stats.runs == 3
+        assert stats.functional_yield == 2 / 3
+        assert not stats.mean.functional
+
+    def test_metric_without_finite_values_is_nan(self):
+        nan = float("nan")
+        broken = ShifterMetrics(nan, nan, nan, nan, nan, nan,
+                                functional=False)
+        stats = aggregate([broken, broken])
         assert math.isnan(stats.mean.delay_rise)
-        assert stats.functional_yield == 0.5
+        assert math.isnan(stats.std.delay_rise)
+        assert stats.functional_yield == 0.0

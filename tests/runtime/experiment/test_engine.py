@@ -1,5 +1,7 @@
 """Engine semantics: specs, workers, quarantine, resume, interrupts."""
 
+import os
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -14,6 +16,10 @@ pytestmark = pytest.mark.experiment
 def square(x):
     """Module-level measurement (picklable for worker pools)."""
     return x * x
+
+
+def pid(x):
+    return os.getpid()
 
 
 def flaky(x):
@@ -69,14 +75,21 @@ class TestExecution:
 
     def test_parallel_identical_to_serial(self):
         serial = run_experiment(_spec(n=8))
-        parallel = run_experiment(_spec(n=8, workers=3, chunk_size=2))
+        parallel = run_experiment(_spec(n=8, workers=3))
         assert parallel.values() == serial.values()
         assert [r.index for r in parallel.rows] \
             == [r.index for r in serial.rows]
 
     def test_rows_in_spec_order_regardless_of_completion(self):
-        result = run_experiment(_spec(n=9, workers=4, chunk_size=1))
+        result = run_experiment(_spec(n=9, workers=4))
         assert [row.index for row in result.rows] == list(range(9))
+
+    def test_explicit_serial_backend_ignores_workers(self):
+        pooled = run_experiment(_spec(measure=pid, n=4, workers=2))
+        assert os.getpid() not in pooled.values()
+        serial = run_experiment(_spec(measure=pid, n=4, workers=2,
+                                      backend="serial"))
+        assert serial.values() == [os.getpid()] * 4
 
     def test_progress_fires_per_success(self):
         seen = []

@@ -88,7 +88,7 @@ class TestCacheKey:
 
     def test_point_key_ignores_execution_knobs(self):
         serial = _spec(workers=1)
-        pooled = _spec(workers=4, chunk_size=2)
+        pooled = _spec(workers=4)
         key = experiment_point_key(serial, 1.0)
         assert experiment_point_key(pooled, 1.0) == key
 
@@ -385,8 +385,7 @@ class TestEngineIntegration:
         # knobs must key every point identically.
         base = _spec(n=3)
         tuned = _spec(n=3, backend="batched", batch_measure=square,
-                      workers=4, batch_width=64, solver="sparse",
-                      chunk_size=2)
+                      workers=4, batch_width=64, solver="sparse")
         for point in base.points:
             assert experiment_point_key(base, point.params) \
                 == experiment_point_key(tuned, point.params)

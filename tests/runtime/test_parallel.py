@@ -14,7 +14,10 @@ inherit the stub because the pool forks at first iteration, while the
 monkeypatch is active.
 """
 
+import os
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +28,13 @@ from repro.analysis import (
     MonteCarloConfig, SweepGrid, pvt_report, run_monte_carlo,
     sweep_delay_surface, validate_functionality,
 )
+from repro.cli import build_parser
 from repro.core import ShifterMetrics, StimulusPlan
 from repro.runtime import (
     ArtifactStore, ExperimentPoint, ExperimentSpec, FaultPlan, ResultSet,
     TRACE_SCHEMA, run_experiment,
 )
-from repro.runtime.parallel import default_chunk_size, parallel_map
+from repro.runtime.parallel import parallel_map, usable_cpus
 
 pytestmark = pytest.mark.resilience
 
@@ -43,6 +47,30 @@ def _square(task):
 
 def _boom(task):
     raise ValueError(f"task {task} exploded")
+
+
+def _pid(task):
+    return os.getpid()
+
+
+def _wait_for_the_others(task):
+    """Task 0 waits for a marker from every other task; they write one.
+
+    Returns ``(index, saw_every_marker)``. Task 0 only sees all the
+    markers if the other tasks run while it waits, i.e. if none of
+    them was queued behind it in the same worker.
+    """
+    index, root, others = task
+    root = Path(root)
+    if index:
+        (root / f"done-{index}").touch()
+        return index, True
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if len(list(root.glob("done-*"))) == others:
+            return index, True
+        time.sleep(0.01)
+    return index, False
 
 
 def fake_characterize(pdk, kind, vddi, vddo, plan=None, sizing=None):
@@ -98,10 +126,44 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="exploded"):
             list(parallel_map(_boom, [1, 2, 3], workers=2))
 
-    def test_default_chunk_size(self):
-        assert default_chunk_size(100, 4) == 7  # ~4 chunks per worker
-        assert default_chunk_size(3, 8) == 1
-        assert default_chunk_size(1, 1) == 1
+    def test_pool_dispatches_one_task_at_a_time(self, tmp_path):
+        # Batched dispatch would queue tasks 1.. behind task 0 in one
+        # worker, and task 0 would wait out its timeout for them.
+        tasks = [(i, str(tmp_path), 16) for i in range(17)]
+        seen = dict(parallel_map(_wait_for_the_others, tasks, workers=2))
+        assert seen == {i: True for i in range(17)}
+
+
+CAMPAIGN_ARGV = [
+    ["characterize", "sstvs"], ["sweep"], ["mc"], ["functional"],
+    ["temp"], ["sens"], ["liberty", "sstvs"], ["vtc", "sstvs"], ["pvt"],
+    ["floorplan"],
+]
+
+
+class TestWorkersDefault:
+    @pytest.mark.parametrize("argv", CAMPAIGN_ARGV,
+                             ids=[argv[0] for argv in CAMPAIGN_ARGV])
+    def test_cli_default_is_usable_cpus(self, argv):
+        assert build_parser().parse_args(argv).workers == usable_cpus()
+
+    def test_usable_cpus_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert usable_cpus() == 3
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+    def test_one_cpu_affinity_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        workers = build_parser().parse_args(["sweep"]).workers
+        assert workers == 1
+        assert set(parallel_map(_pid, range(4), workers=workers)) \
+            == {os.getpid()}
 
 
 class TestMonteCarloParity:
@@ -267,7 +329,7 @@ class TestTraceParity:
 
     def test_pooled_run_bitwise_equal_serial_with_tracing(self):
         serial = run_experiment(_traced_spec())
-        pooled = run_experiment(_traced_spec(workers=3, chunk_size=7))
+        pooled = run_experiment(_traced_spec(workers=3))
         # The measured values themselves: exact float equality.
         assert pooled.values() == serial.values()
         assert [r.index for r in pooled.rows] \
@@ -284,8 +346,7 @@ class TestTraceParity:
         assert untraced.trace is None
 
     def test_quarantined_points_keep_partial_traces(self):
-        spec = _traced_spec(n=20, measure=traced_flaky, workers=3,
-                            chunk_size=4)
+        spec = _traced_spec(n=20, measure=traced_flaky, workers=3)
         pooled = run_experiment(spec)
         serial = run_experiment(
             _traced_spec(n=20, measure=traced_flaky))

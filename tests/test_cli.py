@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.parallel import usable_cpus
 
 
 class TestParser:
@@ -205,7 +206,7 @@ class TestCacheServeParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--jobs", "jobs"])
         assert args.once is False
-        assert args.workers == 2
+        assert args.workers == usable_cpus()
         assert args.chunk_size == 4
 
     def test_cache_action_choices(self):

@@ -60,6 +60,18 @@ class TestErrorPaths:
             args = parser.parse_args(argv + ["--pdk", "lv22"])
             assert args.pdk == "lv22"
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "sstvs"], ["mc"], ["floorplan"], ["serve", "--jobs", "j"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_workers_exit_2_with_usage(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--workers", value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("usage:")
+        assert "--workers" in message and repr(value) in message
+
 
 class TestCommands:
     def test_characterize_on_lv22(self, capsys):
