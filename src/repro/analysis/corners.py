@@ -20,7 +20,7 @@ from repro.core.characterize import StimulusPlan, characterize
 from repro.core.metrics import METRIC_FIELDS, ShifterMetrics
 from repro.errors import AnalysisError
 from repro.pdk import CORNER_SHIFTS, CornerPdk
-from repro.runtime.campaign import CampaignDiagnostics, SampleFailure
+from repro.runtime.campaign import SampleFailure
 from repro.runtime.experiment import (
     ExperimentPoint, ExperimentSpec, ResultSet, run_experiment,
 )
@@ -60,12 +60,6 @@ class PvtReport:
     def quarantined(self) -> list[tuple[str, float]]:
         """``(corner, temperature)`` pairs of quarantined points."""
         return [f.index for f in self.failures]
-
-    def diagnostics(self) -> CampaignDiagnostics:
-        return CampaignDiagnostics(total=len(self.points),
-                                   succeeded=(len(self.points)
-                                              - len(self.failures)),
-                                   failures=list(self.failures))
 
     def worst(self, metric: str) -> PvtPoint:
         if metric not in METRIC_FIELDS:

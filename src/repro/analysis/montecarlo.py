@@ -37,7 +37,7 @@ from repro.core.characterize import (
 from repro.core.metrics import MetricStatistics, ShifterMetrics, aggregate
 from repro.errors import AnalysisError
 from repro.pdk.variation import VariationSpec, VariedPdk
-from repro.runtime.campaign import CampaignDiagnostics, SampleFailure
+from repro.runtime.campaign import SampleFailure, failure_summary
 from repro.runtime.experiment import (
     ExperimentPoint, ExperimentSpec, ResultRow, ResultSet, run_experiment,
 )
@@ -139,15 +139,9 @@ class MonteCarloResult:
         good = sum(1 for s in self.samples if s.functional)
         return good / total
 
-    def diagnostics(self) -> CampaignDiagnostics:
-        return CampaignDiagnostics(
-            total=len(self.samples) + len(self.failures),
-            succeeded=len(self.samples),
-            failures=list(self.failures),
-            interrupted=self.interrupted)
-
     def failure_summary(self, limit: int = 10) -> str:
-        return self.diagnostics().summary(limit=limit)
+        return failure_summary(len(self.samples) + len(self.failures),
+                               self.failures, self.interrupted, limit)
 
 
 def _measure(params: tuple) -> ShifterMetrics:

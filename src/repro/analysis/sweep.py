@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.characterize import quick_delays
 from repro.errors import AnalysisError
 from repro.pdk import Pdk
-from repro.runtime.campaign import CampaignDiagnostics, SampleFailure
+from repro.runtime.campaign import SampleFailure, failure_summary
 from repro.runtime.experiment import (
     ExperimentPoint, ExperimentSpec, ResultSet, run_experiment,
 )
@@ -81,14 +81,9 @@ class DelaySurface:
         """Grid positions ``(i, j)`` of quarantined points."""
         return [f.index for f in self.failures]
 
-    def diagnostics(self) -> CampaignDiagnostics:
-        total = int(self.functional.size)
-        return CampaignDiagnostics(total=total,
-                                   succeeded=total - len(self.failures),
-                                   failures=list(self.failures))
-
     def failure_summary(self, limit: int = 10) -> str:
-        return self.diagnostics().summary(limit=limit)
+        return failure_summary(int(self.functional.size), self.failures,
+                               limit=limit)
 
     def worst_rise(self) -> float:
         return float(np.nanmax(self.rise))

@@ -75,6 +75,32 @@ class CellSpec:
         return sel, vddo - sel
 
 
+@dataclass(frozen=True)
+class ShifterStrategy:
+    """One shifter-insertion strategy: the registered cell placed on
+    every domain crossing, and the shift directions that cell serves
+    (``down`` is VDDI >= VDDO, ``up`` is VDDI <= VDDO)."""
+
+    cell: str
+    up: bool = True
+    down: bool = True
+
+
+#: Strategy name -> strategy, shared by the fixed-placement planner
+#: (:mod:`repro.soc`) and the floorplanner (:mod:`repro.floorplan`).
+#: A plain inverter only shifts down and Khan's one-way SS-VS only up,
+#: so a DVS pair whose ordering flips breaks both.
+SHIFTER_STRATEGIES = {
+    "sstvs": ShifterStrategy("sstvs"),
+    "combined": ShifterStrategy("combined"),
+    "cvs": ShifterStrategy("cvs"),
+    "inverter": ShifterStrategy("inverter", up=False),
+    "ssvs": ShifterStrategy("ssvs_khan", down=False),
+}
+#: The strategies that serve both directions: the ones worth annealing.
+FLOORPLAN_STRATEGIES = tuple(name for name, s in SHIFTER_STRATEGIES.items()
+                             if s.up and s.down)
+
 _CELLS: dict[str, CellSpec] = {}
 
 

@@ -23,9 +23,8 @@ Commands map one-to-one onto the library's experiment entry points:
   engine;
 * ``check`` — fault-injected self-test of the resilient solver runtime
   (``--cells`` smokes the cell & PDK registries, ``--experiments``
-  adds an engine/artifact-store smoke test, ``--golden`` runs the
-  analytic golden test battery, ``--chaos`` the crash/corruption
-  chaos battery, ``--floorplan`` the floorplanner battery);
+  adds an engine/artifact-store smoke test; the test batteries run
+  under ``pytest -m golden|batch|chaos|floorplan``);
 
 Cell kinds and PDK nodes come from the live registries
 (:mod:`repro.cells.registry`, :mod:`repro.pdk.registry`): a topology
@@ -56,7 +55,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cells.registry import cell_names
+from repro.cells.registry import FLOORPLAN_STRATEGIES, cell_names
 from repro.core.metrics import METRIC_FIELDS, METRIC_LABELS, METRIC_UNITS
 from repro.pdk.corners import CORNER_SHIFTS
 from repro.pdk.registry import node_names
@@ -700,133 +699,6 @@ def _smoke_measure(x: float) -> float:
     return x * x
 
 
-def _check_golden(check) -> None:
-    """Run the analytic golden battery (``pytest -m golden``)."""
-    import os
-    import subprocess
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1]
-    root = src.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    print("analytic golden battery (pytest -m golden):")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-m", "golden", "-q"],
-        cwd=root, env=env, capture_output=True, text=True)
-    tail = (proc.stdout or "").strip().splitlines()[-3:]
-    for line in tail:
-        print(f"  {line}")
-    check("golden battery passes", proc.returncode == 0)
-
-
-def _check_batch(check) -> None:
-    """Run the batched-backend equivalence harness (``pytest -m batch``)."""
-    import os
-    import subprocess
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1]
-    root = src.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    print("batched-backend equivalence harness (pytest -m batch):")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-m", "batch", "-q"],
-        cwd=root, env=env, capture_output=True, text=True)
-    tail = (proc.stdout or "").strip().splitlines()[-3:]
-    for line in tail:
-        print(f"  {line}")
-    check("batch equivalence harness passes", proc.returncode == 0)
-
-
-def _check_chaos(check) -> None:
-    """Run the chaos battery (``pytest -m chaos``)."""
-    import os
-    import subprocess
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1]
-    root = src.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    print("crash/corruption chaos battery (pytest -m chaos):")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-m", "chaos", "-q"],
-        cwd=root, env=env, capture_output=True, text=True)
-    tail = (proc.stdout or "").strip().splitlines()[-3:]
-    for line in tail:
-        print(f"  {line}")
-    check("chaos battery passes", proc.returncode == 0)
-
-
-def _check_floorplan(check) -> None:
-    """Run the floorplanner test battery (``pytest -m floorplan``)."""
-    import os
-    import subprocess
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1]
-    root = src.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    print("floorplanner battery (pytest -m floorplan):")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-m", "floorplan", "-q"],
-        cwd=root, env=env, capture_output=True, text=True)
-    tail = (proc.stdout or "").strip().splitlines()[-3:]
-    for line in tail:
-        print(f"  {line}")
-    check("floorplan battery passes", proc.returncode == 0)
-
-
-def _check_coverage(check) -> None:
-    """Enforce the solver-core + floorplan coverage floor.
-
-    The floor itself (over ``src/repro/spice`` plus the floorplanning
-    stack ``src/repro/{floorplan,soc,sta}``) lives in pyproject.toml
-    under ``[tool.coverage.report] fail_under``; this check runs the
-    spice + golden + floorplan/soc/sta suites under ``coverage`` and
-    lets ``coverage report`` apply it. When the ``coverage`` package is
-    not installed the check is skipped loudly rather than failed — the
-    floor is config, the tool is optional.
-    """
-    import importlib.util
-    import os
-    import subprocess
-    from pathlib import Path
-
-    if importlib.util.find_spec("coverage") is None:
-        print("  [SKIP] spice coverage floor ('coverage' package not "
-              "installed; floor configured in pyproject.toml)")
-        return
-    src = Path(__file__).resolve().parents[1]
-    root = src.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    print("coverage floor (coverage run -m pytest tests/spice "
-          "tests/golden tests/floorplan tests/soc tests/sta):")
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverage", "run", "-m", "pytest",
-         "tests/spice", "tests/golden", "tests/floorplan", "tests/soc",
-         "tests/sta", "-q"],
-        cwd=root, env=env, capture_output=True, text=True)
-    check("coverage test run passes", proc.returncode == 0)
-    report = subprocess.run(
-        [sys.executable, "-m", "coverage", "report"],
-        cwd=root, env=env, capture_output=True, text=True)
-    tail = (report.stdout or "").strip().splitlines()[-2:]
-    for line in tail:
-        print(f"  {line}")
-    check("spice + floorplan-stack coverage >= pyproject floor",
-          report.returncode == 0)
-
-
 def cmd_check(args) -> int:
     """Fault-injected self-test of the resilient solver runtime.
 
@@ -922,41 +794,6 @@ def cmd_check(args) -> int:
             _check_experiments(_check)
         except Exception as exc:
             _check(f"experiment smoke raised {type(exc).__name__}: {exc}",
-                   False)
-
-    if args.golden:
-        try:
-            _check_golden(_check)
-        except Exception as exc:
-            _check(f"golden battery raised {type(exc).__name__}: {exc}",
-                   False)
-
-    if args.batch:
-        try:
-            _check_batch(_check)
-        except Exception as exc:
-            _check(f"batch harness raised {type(exc).__name__}: {exc}",
-                   False)
-
-    if args.chaos:
-        try:
-            _check_chaos(_check)
-        except Exception as exc:
-            _check(f"chaos battery raised {type(exc).__name__}: {exc}",
-                   False)
-
-    if args.floorplan:
-        try:
-            _check_floorplan(_check)
-        except Exception as exc:
-            _check(f"floorplan battery raised {type(exc).__name__}: {exc}",
-                   False)
-
-    if args.coverage:
-        try:
-            _check_coverage(_check)
-        except Exception as exc:
-            _check(f"coverage floor raised {type(exc).__name__}: {exc}",
                    False)
 
     if failures:
@@ -1065,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("floorplan",
                        help="shifter-assignment floorplan campaign")
-    from repro.floorplan import FLOORPLAN_STRATEGIES
     p.add_argument("--blocks", type=int, default=64,
                    help="synthetic design: block count")
     p.add_argument("--domains", type=int, default=4,
@@ -1184,24 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiments", action="store_true",
                    help="also smoke-test the experiment engine and "
                         "artifact store (persist, reload, resume)")
-    p.add_argument("--golden", action="store_true",
-                   help="also run the analytic golden test battery "
-                        "(pytest -m golden)")
-    p.add_argument("--coverage", action="store_true",
-                   help="also enforce the >=88%% solver-core coverage "
-                        "floor (skipped when 'coverage' is not installed)")
-    p.add_argument("--batch", action="store_true",
-                   help="also run the batched-backend equivalence "
-                        "harness (pytest -m batch)")
-    p.add_argument("--chaos", action="store_true",
-                   help="also run the crash/corruption chaos battery "
-                        "(pytest -m chaos: worker kills, bit-flips, "
-                        "stale locks, torn writes)")
-    p.add_argument("--floorplan", action="store_true",
-                   help="also run the floorplanner battery (pytest -m "
-                        "floorplan: annealer invariants, golden "
-                        "benchmark, STA negative controls, SoC-scale "
-                        "campaign)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("trace", help="convergence summary of a traced run")

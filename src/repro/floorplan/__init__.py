@@ -12,13 +12,14 @@ experiment-engine campaign (:mod:`repro.floorplan.campaign`,
 ``repro floorplan``).
 """
 
+from repro.cells.registry import FLOORPLAN_STRATEGIES
 from repro.floorplan.anneal import (
-    CostBreakdown, FloorplanResult, ObjectiveWeights, anneal_floorplan,
-    default_moves, pack_sequence_pair,
+    CostBreakdown, CostModel, FloorplanResult, ObjectiveWeights,
+    anneal_floorplan, default_moves, pack_sequence_pair,
 )
 from repro.floorplan.assign import (
-    FLOORPLAN_STRATEGIES, STRATEGY_CELLS, CrossingAssignment,
-    ShifterAssignment, assign_shifters, leaderboard_leakage,
+    CrossingAssignment, ShifterAssignment, assign_shifters,
+    leaderboard_leakage,
 )
 from repro.floorplan.campaign import (
     DEFAULT_REQUIRED, FLOORPLAN_EXPERIMENT, best_by_strategy,
@@ -37,7 +38,6 @@ __all__ = [
     "SocDesign",
     "generate_design",
     "design_from_verilog",
-    "STRATEGY_CELLS",
     "FLOORPLAN_STRATEGIES",
     "CrossingAssignment",
     "ShifterAssignment",
@@ -45,6 +45,7 @@ __all__ = [
     "leaderboard_leakage",
     "ObjectiveWeights",
     "CostBreakdown",
+    "CostModel",
     "FloorplanResult",
     "pack_sequence_pair",
     "anneal_floorplan",

@@ -29,7 +29,10 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.floorplan.assign import ShifterAssignment
 from repro.floorplan.design import SocDesign
-from repro.soc.planner import POWER_RAIL_WIDTH, SIGNAL_WIDTH
+
+#: Assumed width of a routed supply rail vs a signal wire [um].
+POWER_RAIL_WIDTH = 2.0
+SIGNAL_WIDTH = 0.2
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,9 @@ class ObjectiveWeights:
 
     ``area`` multiplies the packed bounding box [um^2]; ``wirelength``
     and ``control`` convert routed signal length [um] to metal area at
-    the planner's signal width; ``rail`` prices the paper's extra
-    supply rails at power-rail width; ``leakage`` converts amps to
-    um^2-equivalents (1 nA ~ 1 um^2 by default) so strategy choice
-    feels static power.
+    the signal width; ``rail`` prices the paper's extra supply rails at
+    power-rail width; ``leakage`` converts amps to um^2-equivalents
+    (1 nA ~ 1 um^2 by default) so strategy choice feels static power.
     """
 
     area: float = 1.0
@@ -65,6 +67,8 @@ class CostBreakdown:
     control_length: float   #: routed direction controls [um]
     shifter_area: float     #: [um^2]
     leakage: float          #: [A]
+    rails: int              #: extra supply rails routed
+    controls: int           #: direction-control wires routed
 
 
 @dataclass
@@ -135,8 +139,13 @@ def _pack_axis(order, keys, extents, n):
     return coords
 
 
-class _CostModel:
-    """Vectorized objective evaluation over a fixed design/assignment."""
+class CostModel:
+    """Vectorized objective evaluation over a fixed design/assignment.
+
+    :meth:`breakdown` prices one placement given block centres; the
+    annealer calls it per candidate, the fixed-placement
+    :class:`repro.soc.ShifterPlanner` once at the modules' own centres.
+    """
 
     def __init__(self, design: SocDesign, assignment: ShifterAssignment,
                  weights: ObjectiveWeights):
@@ -179,6 +188,8 @@ class _CostModel:
                             and self.rail_count > 0)
         self.price_controls = (assignment.needs_select
                                and self.rail_count > 0)
+        self.rails = self.rail_count if self.price_rails else 0
+        self.controls = self.rail_count if self.price_controls else 0
 
     def breakdown(self, cx, cy, total_w, total_h) -> CostBreakdown:
         dist = (np.abs(cx[self.src] - cx[self.dst])
@@ -206,7 +217,8 @@ class _CostModel:
                              rail_length=rail_length,
                              control_length=control_length,
                              shifter_area=self.shifter_area,
-                             leakage=self.leakage)
+                             leakage=self.leakage, rails=self.rails,
+                             controls=self.controls)
 
 
 def default_moves(blocks: int) -> int:
@@ -240,7 +252,7 @@ def anneal_floorplan(design: SocDesign, assignment: ShifterAssignment,
         moves = default_moves(n)
     weights = weights or ObjectiveWeights()
     rng = np.random.default_rng(seed)
-    model = _CostModel(design, assignment, weights)
+    model = CostModel(design, assignment, weights)
 
     widths = [float(m.width) for m in blocks]
     heights = [float(m.height) for m in blocks]

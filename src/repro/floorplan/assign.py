@@ -1,9 +1,8 @@
 """Shifter-cell assignment for every domain crossing of a design.
 
-One strategy — SS-TVS, combined VS, or CVS — maps onto one registered
-cell from :mod:`repro.cells.registry`; the registry's declarative
-flags then drive the floorplan objective with no cell-kind dispatch
-here:
+Each strategy of :data:`repro.cells.registry.SHIFTER_STRATEGIES` maps
+onto one registered cell; the registry's declarative flags then drive
+the floorplan objective with no cell-kind dispatch here:
 
 * ``uses_vddi_rail`` (CVS): every destination block needs the source
   domain's supply rail routed to it — the paper's Figure 2 penalty,
@@ -11,6 +10,10 @@ here:
 * ``needs_select`` (combined VS): a direction-control wire per
   (source domain, destination block) — Figure 3;
 * neither (SS-TVS): no extra routing at all.
+
+A one-way strategy (plain inverter, one-way SS-VS) additionally
+records every crossing whose DVS schedules ever ask for the direction
+its cell cannot shift.
 
 Per-crossing costs come from cached characterizations
 (:func:`repro.core.worst_leakage` through a :class:`SolveCache`) or,
@@ -23,14 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cells.registry import get_cell
+from repro.cells.registry import SHIFTER_STRATEGIES, get_cell
 from repro.errors import AnalysisError
 from repro.floorplan.design import SocDesign
-
-#: Floorplan strategy -> registered cell kind.
-STRATEGY_CELLS = {"sstvs": "sstvs", "combined": "combined",
-                  "cvs": "cvs"}
-FLOORPLAN_STRATEGIES = tuple(STRATEGY_CELLS)
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,9 @@ class ShifterAssignment:
     crossings: tuple              #: tuple[CrossingAssignment]
     uses_vddi_rail: bool
     needs_select: bool
+    #: (source, destination) of every crossing the cell cannot shift
+    #: in some DVS state; always empty for a two-way strategy.
+    infeasible: tuple = ()
 
     @property
     def shifter_count(self) -> int:
@@ -101,11 +102,12 @@ def assign_shifters(design: SocDesign, strategy: str, pdk=None,
     zero (pure-geometry costing for fast sweeps). Area always comes
     from the registry's area probe through :mod:`repro.layout`.
     """
-    if strategy not in STRATEGY_CELLS:
+    if strategy not in SHIFTER_STRATEGIES:
         raise AnalysisError(
-            f"unknown floorplan strategy {strategy!r}; expected one "
-            f"of {FLOORPLAN_STRATEGIES}")
-    kind = STRATEGY_CELLS[strategy]
+            f"unknown shifter strategy {strategy!r}; expected one "
+            f"of {tuple(SHIFTER_STRATEGIES)}")
+    entry = SHIFTER_STRATEGIES[strategy]
+    kind = entry.cell
     spec = get_cell(kind)
     if pdk is None:
         from repro.pdk import Pdk
@@ -129,16 +131,28 @@ def assign_shifters(design: SocDesign, strategy: str, pdk=None,
 
     by_name = design.module_map()
     crossings = []
+    infeasible = []
     for net in design.domain_crossings():
-        src = by_name[net.source].domain
-        dst = by_name[net.destination].domain
-        vddi = src.schedule.voltage_at(0.0)
-        vddo = dst.schedule.voltage_at(0.0)
+        src = by_name[net.source].domain.schedule
+        dst = by_name[net.destination].domain.schedule
+        # Representative voltages: each domain's initial schedule point.
+        vddi = src.voltage_at(0.0)
+        vddo = dst.voltage_at(0.0)
         crossings.append(CrossingAssignment(
             source=net.source, destination=net.destination,
             signals=net.signals, cell=kind, vddi=vddi, vddo=vddo,
             area_um2=area, leakage_a=_leakage(vddi, vddo)))
+        if entry.up and entry.down:
+            continue
+        # A one-way cell works only if the schedules never ask for the
+        # other direction (which also rules out any ordering flip).
+        always_down = src.min_voltage >= dst.max_voltage
+        always_up = src.max_voltage <= dst.min_voltage
+        if not ((entry.down and always_down)
+                or (entry.up and always_up)):
+            infeasible.append((net.source, net.destination))
     return ShifterAssignment(strategy=strategy, cell=kind,
                              crossings=tuple(crossings),
                              uses_vddi_rail=spec.uses_vddi_rail,
-                             needs_select=spec.needs_select)
+                             needs_select=spec.needs_select,
+                             infeasible=tuple(infeasible))

@@ -17,13 +17,12 @@ irrelevant to the bits of the result.
 
 from __future__ import annotations
 
+from repro.cells.registry import FLOORPLAN_STRATEGIES
 from repro.errors import AnalysisError
 from repro.floorplan.anneal import (
     ObjectiveWeights, anneal_floorplan, default_moves,
 )
-from repro.floorplan.assign import (
-    FLOORPLAN_STRATEGIES, assign_shifters,
-)
+from repro.floorplan.assign import assign_shifters
 from repro.floorplan.design import SocDesign, generate_design
 from repro.floorplan.signoff import (
     build_crossing_netlist, build_timing_library, signoff_floorplan,

@@ -1,11 +1,11 @@
 """Multi-voltage SoC designs the floorplanner operates on.
 
-A :class:`SocDesign` is the *pre-placement* counterpart of
-:class:`repro.soc.Soc`: a bag of voltage-island blocks (reusing the
+A :class:`SocDesign` is a bag of voltage-island blocks (reusing the
 :class:`repro.soc.domain.Module` model, positions ignored) plus the
-directed inter-block nets. Nets whose endpoints sit in different
-voltage domains are *domain crossings* and must receive a level
-shifter; same-domain nets only contribute wirelength.
+directed inter-block nets; the fixed-placement :class:`repro.soc.Soc`
+wraps one and keeps its modules' positions. Nets whose endpoints sit
+in different voltage domains are *domain crossings* and must receive
+a level shifter; same-domain nets only contribute wirelength.
 
 Two front doors produce designs:
 
@@ -85,22 +85,6 @@ class SocDesign:
             dst = by_name[net.destination].domain
             pairs.setdefault((src.name, dst.name), (src, dst))
         return pairs
-
-    # -- bridges -----------------------------------------------------------
-
-    def placed_soc(self, positions: dict):
-        """A :class:`repro.soc.Soc` at ``positions`` (name -> x,y,w,h).
-
-        Only the domain crossings are handed over — the planner costs
-        shifter insertion, and same-domain nets need none.
-        """
-        from repro.soc.planner import Soc
-        modules = []
-        for module in self.modules:
-            x, y, width, height = positions[module.name]
-            modules.append(Module(module.name, module.domain,
-                                  x=x, y=y, width=width, height=height))
-        return Soc(modules, list(self.domain_crossings()))
 
 
 def _domain_ladder(count: int) -> tuple:

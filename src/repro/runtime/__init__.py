@@ -15,8 +15,8 @@ that make every solve survivable and observable:
 * :class:`FaultPlan` — deterministic fault injection (singular
   Jacobians, NaN residuals, iteration exhaustion, timestep stalls,
   whole-sample failures) so the fallback ladder is actually testable;
-* :class:`CampaignDiagnostics` / :class:`SampleFailure` — per-campaign
-  aggregation of quarantined samples for the analysis drivers;
+* :class:`SampleFailure` — one quarantined campaign point, recorded
+  by the analysis drivers instead of raising;
 * :func:`parallel_map` — seed-stable process-pool execution of
   campaign samples, one task per submission with completion-order
   delivery, identical to serial execution at ``workers = 1``;
@@ -46,7 +46,7 @@ it freely; the experiment store reaches up to :mod:`repro.pdk` and
 """
 
 from repro.runtime.cache import CacheStats, SolveCache, cache_key
-from repro.runtime.campaign import CampaignDiagnostics, SampleFailure
+from repro.runtime.campaign import SampleFailure
 from repro.runtime.experiment import (
     ArtifactStore, ExperimentPoint, ExperimentSpec, ResultRow, ResultSet,
     register_codec, run_experiment,
@@ -75,7 +75,6 @@ __all__ = [
     "ArtifactStore",
     "AttemptRecord",
     "CacheStats",
-    "CampaignDiagnostics",
     "CampaignService",
     "ServiceConfig",
     "ServiceStats",

@@ -2,7 +2,7 @@
 
 The analysis drivers (Monte Carlo, sweeps, corners, functional grids)
 quarantine failing points into :class:`SampleFailure` records instead
-of raising, and :class:`CampaignDiagnostics` aggregates them for CLI
+of raising, and :func:`failure_summary` renders them for CLI
 reporting. Floorplanning-scale consumers call characterization
 thousands of times per placement; they need "193/200 succeeded, these
 7 indices failed and why", not a traceback from the worst sample.
@@ -10,7 +10,7 @@ thousands of times per placement; they need "193/200 succeeded, these
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,33 +36,15 @@ class SampleFailure:
         return f"{self.index}: [{self.stage}] {self.error}"
 
 
-@dataclass
-class CampaignDiagnostics:
-    """Roll-up of a campaign's resilience behaviour."""
-
-    total: int = 0
-    succeeded: int = 0
-    failures: list[SampleFailure] = field(default_factory=list)
-    progress_errors: int = 0
-    interrupted: bool = False
-
-    @property
-    def quarantined(self) -> list:
-        return [f.index for f in self.failures]
-
-    @property
-    def failure_rate(self) -> float:
-        return len(self.failures) / self.total if self.total else 0.0
-
-    def summary(self, limit: int = 10) -> str:
-        lines = [f"{self.succeeded}/{self.total} points succeeded, "
-                 f"{len(self.failures)} quarantined"
-                 + (", INTERRUPTED" if self.interrupted else "")]
-        for failure in self.failures[:limit]:
-            lines.append(f"  {failure.describe()}")
-        if len(self.failures) > limit:
-            lines.append(f"  (+{len(self.failures) - limit} more)")
-        if self.progress_errors:
-            lines.append(f"  progress callback errors suppressed: "
-                         f"{self.progress_errors}")
-        return "\n".join(lines)
+def failure_summary(total: int, failures: list,
+                    interrupted: bool = False, limit: int = 10) -> str:
+    """``"k/n points succeeded, m quarantined"`` plus the first
+    ``limit`` failures, one per line."""
+    lines = [f"{total - len(failures)}/{total} points succeeded, "
+             f"{len(failures)} quarantined"
+             + (", INTERRUPTED" if interrupted else "")]
+    for failure in failures[:limit]:
+        lines.append(f"  {failure.describe()}")
+    if len(failures) > limit:
+        lines.append(f"  (+{len(failures) - limit} more)")
+    return "\n".join(lines)

@@ -94,5 +94,11 @@ def parallel_map(worker: Callable[[T], R], tasks: Iterable[T], *,
                    for task in tasks]
         for future in as_completed(futures):
             yield future.result()
-    finally:
+    except BaseException:
         executor.shutdown(wait=False, cancel_futures=True)
+        raise
+    # A completed map waits for the pool to wind down: an executor
+    # still closing its wakeup pipe when the interpreter exits can
+    # race the exit hook's unlocked write to that pipe and print an
+    # EBADF traceback after the run succeeded.
+    executor.shutdown(wait=True)

@@ -10,8 +10,7 @@ from repro.soc.dvs import (
 from repro.soc.energy import CrossingEnergyModel, EnergyReport
 from repro.soc.planner import (
     COMBINED_STRATEGY, CVS_STRATEGY, INVERTER_STRATEGY, PlanReport,
-    STRATEGIES, STRATEGY_CELLS, SSTVS_STRATEGY, SSVS_STRATEGY,
-    ShifterPlanner, Soc, manhattan,
+    STRATEGIES, SSTVS_STRATEGY, SSVS_STRATEGY, ShifterPlanner, Soc,
 )
 
 __all__ = [
@@ -23,9 +22,7 @@ __all__ = [
     "Soc",
     "ShifterPlanner",
     "PlanReport",
-    "manhattan",
     "STRATEGIES",
-    "STRATEGY_CELLS",
     "CVS_STRATEGY",
     "COMBINED_STRATEGY",
     "SSTVS_STRATEGY",

@@ -7,54 +7,32 @@ shifters, only local supplies are needed. The combined VS additionally
 needs a routed direction-control signal per domain pair, and the
 SS-TVS needs nothing beyond the local rail.
 
-The planner walks the crossing list and, per strategy, accounts for:
-
-* extra supply rails entering each module (count and Manhattan routed
-  length from the source module, weighted by a power-rail width);
-* extra control wires (combined VS only);
-* shifter cell area (from :mod:`repro.layout`);
-* static leakage (from cached :mod:`repro.core` characterizations at
-  each domain pair's voltages);
-* feasibility under DVS: a strategy that assumes a fixed direction
-  (plain inverter or one-way SS-VS without a control) is infeasible
-  for pairs whose relationship flips.
+The planner is the floorplanner with the placement held fixed: it
+assigns each strategy's cell with :func:`repro.floorplan.assign_shifters`
+(cell area, static leakage, and DVS feasibility of the one-way
+strategies) and prices the extra rails and control wires with the
+annealer's :class:`repro.floorplan.CostModel` at the modules' own
+centres. The strategies themselves live in
+:data:`repro.cells.registry.SHIFTER_STRATEGIES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
+import numpy as np
 
-from repro.cells.registry import get_cell
-from repro.core import worst_leakage
-from repro.errors import AnalysisError
-from repro.layout import estimate_cell_area
+from repro.cells.registry import SHIFTER_STRATEGIES
 from repro.pdk import Pdk
-from repro.soc.domain import Crossing, Module, relationship_flips
+from repro.soc.domain import Crossing, Module
 
 CVS_STRATEGY = "cvs"
 COMBINED_STRATEGY = "combined"
 SSTVS_STRATEGY = "sstvs"
-#: Static one-way strategies, included to demonstrate DVS infeasibility:
-#: a plain inverter only handles VDDI > VDDO, the one-way SS-VS only
-#: VDDI < VDDO. Any domain pair whose relationship flips breaks them.
+#: Static one-way strategies, included to demonstrate DVS infeasibility.
 INVERTER_STRATEGY = "inverter"
 SSVS_STRATEGY = "ssvs"
-STRATEGIES = (CVS_STRATEGY, COMBINED_STRATEGY, SSTVS_STRATEGY,
-              INVERTER_STRATEGY, SSVS_STRATEGY)
-
-#: Strategy -> registered cell kind; every cell property the planner
-#: costs (area probe, rail/select wiring needs, leakage bench) comes
-#: from the :mod:`repro.cells.registry` spec, never hand-rolled here.
-STRATEGY_CELLS = {CVS_STRATEGY: "cvs", COMBINED_STRATEGY: "combined",
-                  SSTVS_STRATEGY: "sstvs",
-                  INVERTER_STRATEGY: "inverter",
-                  SSVS_STRATEGY: "ssvs_khan"}
-
-#: Assumed width of a routed supply rail vs a signal wire [um].
-POWER_RAIL_WIDTH = 2.0
-SIGNAL_WIDTH = 0.2
+STRATEGIES = tuple(SHIFTER_STRATEGIES)
 
 
 @dataclass
@@ -75,6 +53,7 @@ class PlanReport:
 
     @property
     def total_wiring_area(self) -> float:
+        from repro.floorplan.anneal import SIGNAL_WIDTH
         return (self.supply_route_area
                 + self.control_route_length * SIGNAL_WIDTH)
 
@@ -90,48 +69,22 @@ class PlanReport:
                 f"leakage {self.leakage * 1e9:.1f} nA")
 
 
-def manhattan(a: Module, b: Module) -> float:
-    ax, ay = a.center()
-    bx, by = b.center()
-    return abs(ax - bx) + abs(ay - by)
-
-
 class Soc:
     """A floorplanned multi-voltage SoC with inter-module crossings."""
 
     def __init__(self, modules: list[Module], crossings: list[Crossing]):
-        names = [m.name for m in modules]
-        if len(set(names)) != len(names):
-            raise AnalysisError("module names must be unique")
+        # repro.floorplan imports repro.soc.domain, so this import
+        # (and the planner's) stays out of module scope.
+        from repro.floorplan.design import SocDesign
+        #: The same blocks and nets as a floorplanner design (which
+        #: validates names and endpoints).
+        self.design = SocDesign("soc", tuple(modules), tuple(crossings))
         self.modules = {m.name: m for m in modules}
-        for crossing in crossings:
-            for end in (crossing.source, crossing.destination):
-                if end not in self.modules:
-                    raise AnalysisError(f"unknown module {end!r}")
         self.crossings = list(crossings)
-
-    def graph(self) -> "nx.DiGraph":
-        """Module connectivity as a directed multigraph-ish DiGraph."""
-        g = nx.DiGraph()
-        for module in self.modules.values():
-            g.add_node(module.name, module=module)
-        for crossing in self.crossings:
-            if g.has_edge(crossing.source, crossing.destination):
-                g[crossing.source][crossing.destination]["signals"] += \
-                    crossing.signals
-            else:
-                g.add_edge(crossing.source, crossing.destination,
-                           signals=crossing.signals)
-        return g
 
     def domain_pairs(self):
         """Unique (source domain, destination domain) pairs crossed."""
-        pairs = {}
-        for crossing in self.crossings:
-            src = self.modules[crossing.source].domain
-            dst = self.modules[crossing.destination].domain
-            pairs[(src.name, dst.name)] = (src, dst)
-        return pairs
+        return self.design.crossing_domain_pairs()
 
 
 class ShifterPlanner:
@@ -146,96 +99,30 @@ class ShifterPlanner:
         #: characterizations are keyed content-addressed and replayed
         #: bitwise on warm plans instead of re-paying every solve.
         self.cache = cache
-        self._leakage_cache: dict = {}
-        self._area_cache: dict = {}
-
-    # -- cost components ---------------------------------------------------
-
-    def _cell_area_um2(self, strategy: str) -> float:
-        if strategy not in self._area_cache:
-            spec = get_cell(STRATEGY_CELLS[strategy])
-            self._area_cache[strategy] = estimate_cell_area(
-                spec.area_probe, self.pdk).total_area_um2
-        return self._area_cache[strategy]
-
-    def _leakage(self, strategy: str, vddi: float, vddo: float) -> float:
-        """Worst-state static leakage of one shifter at a voltage pair."""
-        if not self.characterize_leakage:
-            return 0.0
-        kind = STRATEGY_CELLS[strategy]
-        key = (kind, round(vddi, 3), round(vddo, 3))
-        if key not in self._leakage_cache:
-            self._leakage_cache[key] = worst_leakage(
-                self.pdk, kind, vddi, vddo, cache=self.cache)
-        return self._leakage_cache[key]
-
-    # -- planning -----------------------------------------------------------
 
     def plan(self, strategy: str) -> PlanReport:
-        if strategy not in STRATEGIES:
-            raise AnalysisError(f"unknown strategy {strategy!r}; "
-                                f"expected one of {STRATEGIES}")
-        report = PlanReport(strategy=strategy)
-        spec = get_cell(STRATEGY_CELLS[strategy])
-        rails_routed: set = set()
-        control_routed: set = set()
-
-        for crossing in self.soc.crossings:
-            src = self.soc.modules[crossing.source]
-            dst = self.soc.modules[crossing.destination]
-            distance = manhattan(src, dst)
-            report.shifter_count += crossing.signals
-            report.shifter_area += (crossing.signals
-                                    * self._cell_area_um2(strategy))
-
-            # Representative voltages for leakage costing: the initial
-            # schedule point of each domain.
-            vddi = src.domain.schedule.voltage_at(0.0)
-            vddo = dst.domain.schedule.voltage_at(0.0)
-            report.leakage += (crossing.signals
-                               * self._leakage(strategy, vddi, vddo))
-
-            flips = relationship_flips(src.domain.schedule,
-                                       dst.domain.schedule)
-
-            if spec.uses_vddi_rail:
-                # The destination needs the source domain's rail.
-                rail = (src.domain.name, dst.name)
-                if rail not in rails_routed:
-                    rails_routed.add(rail)
-                    report.extra_supply_rails += 1
-                    report.supply_route_length += distance
-                    report.supply_route_area += distance * POWER_RAIL_WIDTH
-            elif spec.needs_select:
-                # Single supply, but a direction-control wire per
-                # domain pair entering the destination; under DVS the
-                # control must be recomputed and re-routed from
-                # whatever knows both voltages (modeled as the source).
-                control = (src.domain.name, dst.name)
-                if control not in control_routed:
-                    control_routed.add(control)
-                    report.control_wires += 1
-                    report.control_route_length += distance
-            elif strategy == INVERTER_STRATEGY:
-                # Only valid when VDDI > VDDO at all times.
-                always_down = (src.domain.schedule.min_voltage
-                               >= dst.domain.schedule.max_voltage)
-                if flips or not always_down:
-                    report.infeasible_pairs.append(
-                        (crossing.source, crossing.destination))
-            elif strategy == SSVS_STRATEGY:
-                # One-way low-to-high shifter: VDDI < VDDO required.
-                always_up = (src.domain.schedule.max_voltage
-                             <= dst.domain.schedule.min_voltage)
-                if flips or not always_up:
-                    report.infeasible_pairs.append(
-                        (crossing.source, crossing.destination))
-            elif strategy == SSTVS_STRATEGY:
-                # True shifter: nothing extra, works through flips.
-                pass
-
-        report.feasible = not report.infeasible_pairs
-        return report
+        from repro.floorplan.anneal import CostModel, ObjectiveWeights
+        from repro.floorplan.assign import assign_shifters
+        design = self.soc.design
+        assignment = assign_shifters(
+            design, strategy, pdk=self.pdk, cache=self.cache,
+            characterize_leakage=self.characterize_leakage)
+        weights = ObjectiveWeights()
+        centres = np.asarray([m.center() for m in design.modules],
+                             dtype=float).reshape(-1, 2)
+        # The bounding box is not part of a plan: price it as empty.
+        cost = CostModel(design, assignment, weights).breakdown(
+            centres[:, 0], centres[:, 1], 0.0, 0.0)
+        return PlanReport(
+            strategy=strategy, feasible=not assignment.infeasible,
+            infeasible_pairs=list(assignment.infeasible),
+            shifter_count=assignment.shifter_count,
+            extra_supply_rails=cost.rails,
+            supply_route_length=cost.rail_length,
+            supply_route_area=cost.rail_length * weights.rail,
+            control_wires=cost.controls,
+            control_route_length=cost.control_length,
+            shifter_area=cost.shifter_area, leakage=cost.leakage)
 
     def compare(self) -> dict[str, PlanReport]:
         """Plan all strategies; returns reports keyed by strategy."""

@@ -3,7 +3,7 @@
 Every scenario asserts the headline robustness guarantee end to end:
 a crashed-and-resumed campaign is *bitwise identical* to one that never
 crashed, and a corrupted cache entry is quarantined and recomputed —
-never served. Run with ``pytest -m chaos`` or ``repro check --chaos``.
+never served. Run with ``pytest -m chaos``.
 """
 
 import json

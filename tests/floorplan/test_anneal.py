@@ -140,3 +140,36 @@ class TestKnobs:
             weights=ObjectiveWeights(rail=0.0))
         assert heavy.cost != light.cost
         assert light.breakdown.rail_length >= 0.0
+
+
+class TestOneWayStrategies:
+    """assign_shifters serves every strategy of the shared table; only
+    the one-way ones can be infeasible."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        return generate_design(blocks=16, domains=4, seed=3)
+
+    @pytest.mark.parametrize("strategy", ("sstvs", "combined", "cvs"))
+    def test_two_way_strategies_record_nothing(self, design, strategy):
+        assignment = assign_shifters(design, strategy,
+                                     characterize_leakage=False)
+        assert assignment.infeasible == ()
+
+    @pytest.mark.parametrize("strategy", ("inverter", "ssvs"))
+    def test_one_way_strategies_flag_the_wrong_direction(self, design,
+                                                         strategy):
+        assignment = assign_shifters(design, strategy,
+                                     characterize_leakage=False)
+        assert assignment.cell in ("inverter", "ssvs_khan")
+        by_name = design.module_map()
+        for source, destination in assignment.infeasible:
+            src = by_name[source].domain.schedule
+            dst = by_name[destination].domain.schedule
+            if strategy == "inverter":
+                assert src.min_voltage < dst.max_voltage
+            else:
+                assert src.max_voltage > dst.min_voltage
+        # Up and down crossings both exist, so each one-way cell
+        # misses some but not all of them.
+        assert 0 < len(assignment.infeasible) < len(assignment.crossings)

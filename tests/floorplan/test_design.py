@@ -69,13 +69,6 @@ class TestGenerator:
                     if d.schedule.min_voltage != d.schedule.max_voltage]
         assert len(swinging) == 2
 
-    def test_placed_soc_covers_domain_crossings(self):
-        design = generate_design(blocks=16, domains=4, seed=5)
-        positions = {m.name: (10.0 * i, 5.0 * i, m.width, m.height)
-                     for i, m in enumerate(design.modules)}
-        soc = design.placed_soc(positions)
-        assert len(soc.crossings) == len(design.domain_crossings())
-
 
 class TestValidation:
     def test_duplicate_block_names_rejected(self):

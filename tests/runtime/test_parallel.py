@@ -133,6 +133,18 @@ class TestParallelMap:
         seen = dict(parallel_map(_wait_for_the_others, tasks, workers=2))
         assert seen == {i: True for i in range(17)}
 
+    def test_completed_map_leaves_no_pool_behind(self):
+        # A pool still winding down when the interpreter exits races
+        # the executor's exit hook, which then prints an EBADF
+        # traceback after a successful run.
+        import multiprocessing
+        import threading
+        assert sorted(parallel_map(_square, range(4), workers=2)) == \
+            [0, 1, 4, 9]
+        assert multiprocessing.active_children() == []
+        assert not [t for t in threading.enumerate()
+                    if type(t).__name__ == "_ExecutorManagerThread"]
+
 
 CAMPAIGN_ARGV = [
     ["characterize", "sstvs"], ["sweep"], ["mc"], ["functional"],

@@ -7,7 +7,7 @@ from repro.errors import AnalysisError
 from repro.soc import (
     COMBINED_STRATEGY, CVS_STRATEGY, Crossing, DvsSchedule,
     INVERTER_STRATEGY, Module, SSTVS_STRATEGY, SSVS_STRATEGY,
-    ShifterPlanner, Soc, VoltageDomain, manhattan,
+    ShifterPlanner, Soc, VoltageDomain,
 )
 
 
@@ -57,20 +57,18 @@ class TestSocModel:
         with pytest.raises(AnalysisError):
             Soc([m], [Crossing("a", "ghost")])
 
-    def test_graph_merges_parallel_crossings(self):
-        soc = paper_soc()
-        g = soc.graph()
-        assert g["m08"]["m10"]["signals"] == 4
-        assert g.number_of_nodes() == 4
-
     def test_domain_pairs(self):
         pairs = paper_soc().domain_pairs()
         assert ("v08", "v10") in pairs
 
     def test_manhattan(self):
+        """A rail runs the Manhattan distance between module centres."""
         soc = paper_soc()
-        d = manhattan(soc.modules["m08"], soc.modules["m14"])
-        assert d == pytest.approx(400.0)
+        diagonal = Soc([soc.modules["m08"], soc.modules["m14"]],
+                       [Crossing("m08", "m14")])
+        report = ShifterPlanner(diagonal, characterize_leakage=False) \
+            .plan(CVS_STRATEGY)
+        assert report.supply_route_length == 400.0
 
 
 class TestPlannerCosts:
@@ -142,17 +140,16 @@ class TestRegistryCosting:
     rail routing, one that declares needs_select gets control wires."""
 
     def test_strategy_cells_all_registered(self):
-        from repro.cells.registry import get_cell
-        from repro.soc import STRATEGY_CELLS
-        for strategy, kind in STRATEGY_CELLS.items():
-            spec = get_cell(kind)  # raises if unregistered
-            assert spec.name == kind, strategy
+        from repro.cells.registry import SHIFTER_STRATEGIES, get_cell
+        for strategy, plan in SHIFTER_STRATEGIES.items():
+            spec = get_cell(plan.cell)  # raises if unregistered
+            assert spec.name == plan.cell, strategy
 
     def test_rail_and_select_follow_registry_flags(self, planner):
-        from repro.cells.registry import get_cell
-        from repro.soc import STRATEGIES, STRATEGY_CELLS
+        from repro.cells.registry import SHIFTER_STRATEGIES, get_cell
+        from repro.soc import STRATEGIES
         for strategy in STRATEGIES:
-            spec = get_cell(STRATEGY_CELLS[strategy])
+            spec = get_cell(SHIFTER_STRATEGIES[strategy].cell)
             report = planner.plan(strategy)
             assert (report.extra_supply_rails > 0) == \
                 spec.uses_vddi_rail, strategy
@@ -187,3 +184,37 @@ class TestLeakageCache:
         assert warm_cache.stats.misses == 0
         assert warm.leakage == cold.leakage  # bitwise, not approx
         assert warm.leakage > 0.0
+
+
+class TestFixedPlacementRouting:
+    """The planner routes and counts exactly like the floorplanner's
+    objective at a fixed placement."""
+
+    def test_rail_runs_from_nearest_same_domain_source(self):
+        # Two 1.0 V blocks feed one 1.2 V block; the farther one is
+        # listed first, but the shared rail/control runs from the
+        # nearer one.
+        far = Module("far", VoltageDomain.fixed("v10", 1.0), x=600, y=0)
+        near = Module("near", VoltageDomain.fixed("v10", 1.0),
+                      x=200, y=0)
+        dst = Module("dst", VoltageDomain.fixed("v12", 1.2), x=0, y=0)
+        soc = Soc([far, near, dst], [Crossing("far", "dst"),
+                                     Crossing("near", "dst")])
+        planner = ShifterPlanner(soc, characterize_leakage=False)
+        cvs = planner.plan(CVS_STRATEGY)
+        assert cvs.extra_supply_rails == 1
+        assert cvs.supply_route_length == 200.0
+        combined = planner.plan(COMBINED_STRATEGY)
+        assert combined.control_wires == 1
+        assert combined.control_route_length == 200.0
+
+    def test_same_domain_crossing_gets_no_shifter(self):
+        a = Module("a", VoltageDomain.fixed("v08", 0.8), x=0, y=0)
+        b = Module("b", VoltageDomain.fixed("v08", 0.8), x=200, y=0)
+        c = Module("c", VoltageDomain.fixed("v12", 1.2), x=0, y=200)
+        soc = Soc([a, b, c], [Crossing("a", "b", 3), Crossing("a", "c")])
+        planner = ShifterPlanner(soc, characterize_leakage=False)
+        assert planner.plan(SSTVS_STRATEGY).shifter_count == 1
+        cvs = planner.plan(CVS_STRATEGY)
+        assert cvs.extra_supply_rails == 1
+        assert cvs.supply_route_length == 200.0

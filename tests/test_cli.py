@@ -198,6 +198,36 @@ class TestCliErrorPaths:
         assert "truncated" not in out
 
 
+class TestFloorplanParser:
+    def test_strategy_choices_and_default(self):
+        args = build_parser().parse_args(["floorplan"])
+        assert args.strategies == ["sstvs", "combined", "cvs"]
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["floorplan", "--strategies",
+                                       "osmosis"])
+        assert err.value.code == 2
+
+    def test_parser_skips_floorplan_and_networkx_imports(self):
+        """Building the parser must not pay for the floorplanner (and
+        the networkx it pulls in) on commands that never floorplan."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                     else []))
+        probe = ("import sys, repro.cli; repro.cli.build_parser(); "
+                 "print(sorted(m for m in ('repro.floorplan', "
+                 "'networkx') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+
 class TestCacheServeParser:
     def test_serve_requires_jobs(self):
         with pytest.raises(SystemExit):
@@ -221,9 +251,11 @@ class TestCacheServeParser:
         assert args.cache == "solves"
         assert build_parser().parse_args(["mc", "sstvs"]).cache is None
 
-    def test_check_chaos_flag(self):
-        assert build_parser().parse_args(["check", "--chaos"]).chaos
-        assert not build_parser().parse_args(["check"]).chaos
+    def test_check_drops_pytest_wrapper_flags(self):
+        for flag in ("--golden", "--batch", "--chaos", "--floorplan",
+                     "--coverage"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["check", flag])
 
 
 @pytest.mark.experiment
