@@ -20,9 +20,8 @@ the campaign declaratively, :func:`run_experiment` executes it with
 workers / quarantine / fault injection / Ctrl-C partials / seed-stable
 resume, and :func:`result_from_resultset` assembles the classic
 :class:`MonteCarloResult` from the typed rows. Pass ``store=`` to
-persist the run (rows + provenance manifest) and ``resume=`` either a
-previous in-memory result or a result set reloaded from the artifact
-store.
+persist the run (rows + provenance manifest) and ``resume=`` a
+previous result set, in memory or reloaded from the artifact store.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.errors import AnalysisError
 from repro.pdk.variation import VariationSpec, VariedPdk
 from repro.runtime.campaign import SampleFailure, failure_summary
 from repro.runtime.experiment import (
-    ExperimentPoint, ExperimentSpec, ResultRow, ResultSet, run_experiment,
+    ExperimentPoint, ExperimentSpec, ResultSet, run_experiment,
 )
 from repro.runtime.faults import FaultPlan
 
@@ -67,8 +66,8 @@ class MonteCarloConfig:
     #: with a fault plan are forced serial (plans count firings in
     #: mutable in-process state).
     workers: int = 1
-    #: Execution backend: None keeps the workers-derived default
-    #: ("pool" when workers > 1, else "serial"); "batched" stacks
+    #: Execution backend: None measures one sample per task (pooled
+    #: when workers > 1); "serial" stays in-process; "batched" stacks
     #: samples into SPMD lanes (see :mod:`repro.spice.batch`), and
     #: combined with workers > 1 runs sharded-batched (one lane group
     #: per pool task).
@@ -112,7 +111,7 @@ class MonteCarloResult:
     #: Statistics over the *successful* samples (None if all failed).
     statistics: MetricStatistics | None
     #: Sample indices of the successful samples, aligned with
-    #: ``samples``; lets a partial result be resumed seed-stably.
+    #: ``samples``.
     completed_indices: list[int] = field(default_factory=list)
     #: Per-sample failures captured instead of raised.
     failures: list[SampleFailure] = field(default_factory=list)
@@ -222,25 +221,11 @@ def result_from_resultset(resultset: ResultSet,
         run_id=resultset.run_id)
 
 
-def _as_resume(resume) -> ResultSet | None:
-    """Accept a previous result in either form (legacy or typed)."""
-    if resume is None or isinstance(resume, ResultSet):
-        return resume
-    rows = [ResultRow(ordinal=index, index=index, status="ok",
-                      value=metrics)
-            for index, metrics in zip(resume.completed_indices,
-                                      resume.samples)]
-    rows += [ResultRow(ordinal=f.index, index=f.index, status="err",
-                       stage=f.stage, error=f.error)
-             for f in resume.failures]
-    return ResultSet(name=EXPERIMENT_NAME, codec="metrics", rows=rows)
-
-
 def run_monte_carlo(kind: str, vddi: float, vddo: float,
                     config: MonteCarloConfig | None = None,
                     sizing=None,
                     progress=None,
-                    resume=None,
+                    resume: ResultSet | None = None,
                     store=None,
                     run_id: str | None = None,
                     cache=None) -> MonteCarloResult:
@@ -251,12 +236,12 @@ def run_monte_carlo(kind: str, vddi: float, vddo: float,
             each sample (used by benches for live output). Exceptions
             it raises are isolated — warned once and suppressed — so an
             observability hook can never take down a campaign.
-        resume: a previous (partial) :class:`MonteCarloResult` — or a
-            :class:`ResultSet` reloaded from the artifact store — for
-            the same kind/supplies/config; its completed and
-            quarantined samples are carried over and only the remaining
-            indices are run. Seed-stable because per-sample seeds
-            derive from the sample index.
+        resume: a previous (partial) :class:`ResultSet` — in memory
+            or reloaded from the artifact store — for the same
+            kind/supplies/config; its completed and quarantined
+            samples are carried over and only the remaining indices
+            are run. Seed-stable because per-sample seeds derive from
+            the sample index.
         store: optional artifact store (or root path) to persist the
             run to; the returned result carries the ``run_id``.
 
@@ -266,7 +251,7 @@ def run_monte_carlo(kind: str, vddi: float, vddo: float,
     """
     spec = monte_carlo_spec(kind, vddi, vddo, config, sizing=sizing)
     resultset = run_experiment(spec, progress=progress,
-                               resume=_as_resume(resume), store=store,
+                               resume=resume, store=store,
                                run_id=run_id, cache=cache)
     return result_from_resultset(resultset, kind=kind, vddi=vddi,
                                  vddo=vddo)

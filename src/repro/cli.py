@@ -79,9 +79,10 @@ def _add_pdk_arg(parser) -> None:
 
 def _add_backend_arg(parser) -> None:
     parser.add_argument("--backend", default=None,
-                        choices=("serial", "pool", "batched"),
-                        help="execution backend (default: pool when "
-                             "--workers > 1, else serial; 'batched' "
+                        choices=("serial", "batched"),
+                        help="execution backend (default: one point "
+                             "per task, pooled when --workers > 1; "
+                             "'serial' stays in-process; 'batched' "
                              "stacks same-topology points into SPMD "
                              "lanes, and with --workers > 1 shards "
                              "lane groups over the pool — see README "
@@ -142,22 +143,21 @@ def _campaign_io(args):
     from repro.runtime.cache import SolveCache
     from repro.runtime.experiment import ArtifactStore, DEFAULT_ROOT
     mode = None
-    if getattr(args, "profile", False):
+    if args.profile:
         mode = "profile"
-    elif getattr(args, "trace", False):
+    elif args.trace:
         mode = "collect"
     if mode is not None:
         telemetry.set_campaign_trace_mode(mode)
     store = resume = None
-    if (getattr(args, "out", None) or getattr(args, "resume", None)
-            or mode is not None):
-        store = ArtifactStore(getattr(args, "out", None) or DEFAULT_ROOT)
-    if getattr(args, "resume", None):
+    if args.out or args.resume or mode is not None:
+        store = ArtifactStore(args.out or DEFAULT_ROOT)
+    if args.resume:
         resume = store.load(args.resume)
     cache = None
-    if getattr(args, "cache", None):
+    if args.cache:
         cache = SolveCache(args.cache)
-    return store, resume, getattr(args, "resume", None), cache
+    return store, resume, args.resume, cache
 
 
 def _report_run(result) -> None:
@@ -228,8 +228,8 @@ def cmd_mc(args) -> int:
     config = MonteCarloConfig(runs=args.runs, seed=args.seed,
                               temperature_c=args.temp,
                               workers=args.workers,
-                              backend=getattr(args, "backend", None),
-                              solver=getattr(args, "solver", None),
+                              backend=args.backend,
+                              solver=args.solver,
                               pdk_node=args.pdk)
     result = run_monte_carlo(args.kind, args.vddi, args.vddo, config,
                              resume=resume, store=store, run_id=run_id,
@@ -254,8 +254,8 @@ def cmd_functional(args) -> int:
                                     SweepGrid.with_step(args.step),
                                     pdk=make_pdk(args.pdk, args.temp),
                                     workers=args.workers,
-                                    backend=getattr(args, "backend", None),
-                                    solver=getattr(args, "solver", None),
+                                    backend=args.backend,
+                                    solver=args.solver,
                                     resume=resume,
                                     store=store, run_id=run_id,
                                     cache=cache)

@@ -8,9 +8,10 @@ fault injection, and campaign quarantine — so every driver gets, for
 free:
 
 * **workers** — ``spec.workers > 1`` distributes points over a process
-  pool, one point per task, so an idle worker always takes the next
-  pending point; results are bitwise identical to a serial run because
-  the measurement derives everything from its point params.
+  pool, one task per point (one lane group per task on the batched
+  backend), so an idle worker always takes the next pending task;
+  results are bitwise identical to a serial run because the
+  measurement derives everything from its point params.
 * **quarantine** — a point whose measurement raises is recorded as an
   ``err`` row (with stage and error text) instead of aborting, with an
   optional ``max_failures`` abort threshold.
@@ -35,6 +36,14 @@ free:
   Ctrl-C: partial rows come back with ``interrupted=True`` and the
   artifact store writes a resumable manifest, so container/CI kills
   (which send SIGTERM, not SIGINT) never lose completed work.
+
+Every point runs through one worker, :func:`_chunk_worker`, over
+chunks of ``(indices, params_list)``: a whole lane group per call on
+the batched backend, one point per chunk otherwise. The bookkeeping
+around it — resume carry-over, cache lookup and store, quarantine,
+progress isolation, the SIGTERM scope, trace aggregation and
+persistence — lives in :class:`_Campaign`, which the supervised
+:class:`~repro.runtime.service.CampaignService` reuses unchanged.
 
 Fault-injection campaigns run serially regardless of ``workers``: plans
 count firings in mutable in-process state that a pool cannot share.
@@ -81,62 +90,66 @@ def _stats_delta(before: dict) -> tuple:
     return (ds, di)
 
 
-def _measure_worker(task: tuple, context: tuple):
-    """Run one point's measurement; shared by serial and pool paths.
+def _measure_point(index, params, context) -> tuple:
+    """One point through the per-point ``measure``, as an outcome.
+
+    In a fault campaign the plan's ``sample_failure`` firing comes
+    first, then the point measures inside its sample scope with the
+    plan active. A traced point gets a fresh tracer whose snapshot
+    rides home in the outcome — failed points included, since a
+    diverging corner's convergence record is exactly what the outlier
+    report is for.
+    """
+    measure, _, stage, trace_mode, solver, faults = context
+    if faults is not None and faults.fires("sample_failure", sample=index):
+        return (index, "err", None, "injected", "injected sample failure",
+                None)
+    sample = (faults.sample_scope(index)
+              if faults is not None and isinstance(index, int)
+              else nullcontext())
+    tracer = (telemetry.make_tracer(trace_mode)
+              if trace_mode is not None else None)
+    traced = telemetry.trace(tracer) if tracer is not None else nullcontext()
+    try:
+        with sample, inject(faults), traced, solver_scope(solver):
+            value = measure(params)
+    except Exception as exc:
+        snap = tracer.snapshot() if tracer is not None else None
+        return (index, "err", None, stage, f"{type(exc).__name__}: {exc}",
+                snap)
+    snap = tracer.snapshot() if tracer is not None else None
+    return (index, "ok", value, None, None, snap)
+
+
+def _chunk_worker(task: tuple, context: tuple):
+    """Measure one chunk of points; the engine's only worker.
 
     Module-level so the process pool can pickle it by reference. The
-    task is just ``(index, params)``; everything task-invariant
-    (measure function, stage, trace mode, solver) rides in ``context``.
-    Per-point failures are encoded in the return value rather than
-    raised — quarantine must survive the pool boundary. Trace mode and
-    solver ride in the context (never in ambient process state) so
-    pooled workers behave exactly like a serial run; each point gets a
-    fresh tracer and its snapshot comes back with the outcome, as does
-    the point's solve-counter delta.
-    """
-    index, params = task
-    measure, stage, trace_mode, solver = context
-    snap = None
-    before = solve_stats()
-    try:
-        with solver_scope(solver):
-            if trace_mode is None:
-                value = measure(params)
-            else:
-                tracer = telemetry.make_tracer(trace_mode)
-                try:
-                    with telemetry.trace(tracer):
-                        value = measure(params)
-                finally:
-                    # Failed points keep their partial trace — a
-                    # diverging corner's convergence record is exactly
-                    # what the outlier report is for.
-                    snap = tracer.snapshot()
-    except Exception as exc:
-        return ("err", index, stage, f"{type(exc).__name__}: {exc}",
-                snap, _stats_delta(before))
-    return ("ok", index, value, snap, _stats_delta(before))
+    task is ``(indices, params_list)``; everything task-invariant
+    (measure, batch_measure, stage, trace mode, solver, fault plan)
+    rides in ``context``, never in ambient process state, so pooled
+    workers behave exactly like a serial run.
 
+    With a ``batch_measure`` in the context the chunk is one lane
+    group and one batched call; lane failures come back as
+    :class:`BatchPointFailure` values and become err outcomes. A call
+    that raises or returns the wrong number of values **evicts** the
+    chunk to the per-point measure in-worker (same results, serial
+    speed) and the reason comes back for the parent to log.
 
-def _batch_chunk_worker(task: tuple, context: tuple):
-    """Evaluate one lane-group chunk; shared by in-process and sharded.
-
-    One task is one ``batch_measure`` call: ``(indices, params_list)``.
-    Lane failures come back as :class:`BatchPointFailure` values and
-    are normalized to err outcomes; a chunk whose batched call itself
-    raises is **evicted in-worker** to the per-point measure (same
-    results, serial speed, still inside this worker's shard) and the
-    exception text is returned so the parent can log why. Returns
+    Per-point failures are encoded in the outcomes rather than raised —
+    quarantine must survive the pool boundary. Each outcome is
+    ``(index, status, value, stage, error, trace)``. Returns
     ``(outcomes, evicted_reason_or_None, stats_delta)``.
     """
     indices, params_list = task
-    batch_measure, measure, stage, solver = context
+    _, batch_measure, stage, _, solver, _ = context
     before = solve_stats()
     evicted = None
-    outcomes = []
-    with solver_scope(solver):
+    if batch_measure is not None:
         try:
-            values = batch_measure(list(params_list))
+            with solver_scope(solver):
+                values = batch_measure(list(params_list))
             if len(values) != len(params_list):
                 raise AnalysisError(
                     f"batch_measure returned {len(values)} values for "
@@ -145,26 +158,183 @@ def _batch_chunk_worker(task: tuple, context: tuple):
             raise
         except Exception as exc:
             evicted = f"{type(exc).__name__}: {exc}"
-            values = None
-        if values is None:
-            for index, params in zip(indices, params_list):
-                try:
-                    value = measure(params)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    outcomes.append(("err", index, stage,
-                                     f"{type(exc).__name__}: {exc}"))
-                else:
-                    outcomes.append(("ok", index, value))
         else:
-            for index, value in zip(indices, values):
-                if isinstance(value, BatchPointFailure):
-                    outcomes.append(("err", index, value.stage or stage,
-                                     value.error))
-                else:
-                    outcomes.append(("ok", index, value))
+            outcomes = [
+                (index, "err", None, value.stage or stage, value.error,
+                 None)
+                if isinstance(value, BatchPointFailure)
+                else (index, "ok", value, None, None, None)
+                for index, value in zip(indices, values)]
+            return (outcomes, None, _stats_delta(before))
+    outcomes = [_measure_point(index, params, context)
+                for index, params in zip(indices, params_list)]
     return (outcomes, evicted, _stats_delta(before))
+
+
+class _Campaign:
+    """One campaign's bookkeeping, whoever dispatches its points.
+
+    :func:`run_experiment` feeds it outcomes from a
+    :func:`parallel_map` loop; the supervised
+    :class:`~repro.runtime.service.CampaignService` feeds it outcomes
+    reaped from its chunk files. Either way the same object carries
+    resumed rows over (rows whose index is no longer in the spec sort
+    after the live points), serves and stores cache entries, turns
+    outcomes into rows with quarantine and the ``max_failures`` abort,
+    isolates the progress callback, maps SIGTERM onto the Ctrl-C
+    partial-result path, and assembles and persists the
+    :class:`ResultSet`.
+    """
+
+    def __init__(self, spec: ExperimentSpec, *, progress=None,
+                 resume=None, trace_mode: str | None = None):
+        self._spec = spec
+        self._started = time.perf_counter()
+        self._trace_mode = trace_mode
+        self._ordinals = {point.index: n
+                         for n, point in enumerate(spec.points)}
+        self._rows: list[ResultRow] = []
+        self.hits: list = []
+        self._interrupted = False
+        self._traces: dict = {}
+        self._progress_fn = progress
+        self._cache = self._encode = None
+        self._keys: dict = {}
+        if resume is not None:
+            if not isinstance(resume, ResultSet):
+                raise AnalysisError(
+                    f"resume must be a ResultSet, got "
+                    f"{type(resume).__name__}")
+            if resume.name != spec.name:
+                raise AnalysisError(
+                    f"cannot resume experiment {spec.name!r} from a "
+                    f"{resume.name!r} result set")
+            extra = len(spec.points)
+            for row in resume.rows:
+                ordinal = self._ordinals.get(row.index)
+                if ordinal is None:
+                    ordinal, extra = extra, extra + 1
+                self._rows.append(ResultRow(
+                    ordinal=ordinal, index=row.index, status=row.status,
+                    value=row.value, stage=row.stage, error=row.error))
+        self._done = {row.index for row in self._rows}
+        self._failures = sum(1 for row in self._rows if not row.ok)
+
+    def carry(self, index, status, value=None, stage=None,
+              error=None) -> None:
+        """Carry a finished outcome over unless its point is done or
+        unknown to the spec (the service's chunk-file salvage)."""
+        if index in self._done or index not in self._ordinals:
+            return
+        self._done.add(index)
+        self._rows.append(ResultRow(ordinal=self._ordinals[index],
+                                   index=index, status=status, value=value,
+                                   stage=stage, error=error))
+        if status != "ok":
+            self._failures += 1
+
+    def lookup(self, cache) -> list:
+        """Points still to measure, after serving ``cache`` hits.
+
+        Hits become ``ok`` rows at once (progress fires for them when
+        the campaign starts running); misses remember their content
+        key so :meth:`merge` can store the measured payload.
+        """
+        pending = [point for point in self._spec.points
+                   if point.index not in self._done]
+        if cache is None:
+            return pending
+        self._cache = cache
+        self._encode, decode = get_codec(self._spec.codec)
+        still_pending = []
+        for point in pending:
+            key = experiment_point_key(self._spec, point.params)
+            hit, payload = cache.get(key)
+            if hit:
+                value = decode(payload)
+                self._rows.append(ResultRow(
+                    ordinal=self._ordinals[point.index], index=point.index,
+                    status="ok", value=value))
+                self.hits.append((point.index, value))
+            else:
+                self._keys[point.index] = key
+                still_pending.append(point)
+        return still_pending
+
+    def merge(self, index, status, value=None, stage=None, error=None,
+              trace=None) -> None:
+        """Record one freshly measured outcome as a row."""
+        if trace is not None:
+            self._traces[index] = trace
+        self._rows.append(ResultRow(ordinal=self._ordinals[index],
+                                   index=index, status=status, value=value,
+                                   stage=stage, error=error))
+        if status == "ok":
+            key = self._keys.get(index)
+            if key is not None:
+                self._cache.put(key, self._encode(value))
+            self._progress(index, value)
+            return
+        self._failures += 1
+        spec = self._spec
+        if (spec.max_failures is not None
+                and self._failures > spec.max_failures):
+            raise AnalysisError(
+                f"{spec.name} aborted: {self._failures} sample failures "
+                f"exceed max_failures={spec.max_failures}; last: "
+                f"{index}: [{stage}] {error}")
+
+    def _progress(self, index, value) -> None:
+        if self._progress_fn is None:
+            return
+        try:
+            self._progress_fn(index, value)
+        except Exception as exc:
+            self._progress_fn = None
+            warnings.warn(
+                f"{self._spec.name} progress callback raised "
+                f"{type(exc).__name__}: {exc}; further calls "
+                f"suppressed, campaign continues", RuntimeWarning,
+                stacklevel=3)
+
+    def run(self, dispatch, on_interrupt=None) -> None:
+        """Report cache hits, then run ``dispatch()`` until done.
+
+        SIGTERM (container/CI kill) takes the same partial-results path
+        as Ctrl-C: both mark the campaign interrupted, after
+        ``on_interrupt()`` has had its chance to salvage in-flight work.
+        """
+        with sigterm_interrupts():
+            try:
+                for index, value in self.hits:
+                    self._progress(index, value)
+                dispatch()
+            except KeyboardInterrupt:
+                self._interrupted = True
+                if on_interrupt is not None:
+                    on_interrupt()
+
+    def finish(self, store=None, run_id: str | None = None) -> ResultSet:
+        """Rows in canonical order as a :class:`ResultSet`, persisted
+        to ``store`` when one is given."""
+        spec = self._spec
+        self._rows.sort(key=lambda row: row.ordinal)
+        result = ResultSet(name=spec.name, codec=spec.codec,
+                           metadata=dict(spec.metadata), rows=self._rows,
+                           interrupted=self._interrupted)
+        if self._trace_mode is not None:
+            # Snapshots merge in canonical row order (never completion
+            # order), so a pooled campaign aggregates exactly like a
+            # serial one. Resumed rows carried over without traces are
+            # skipped.
+            result.trace = telemetry.aggregate_traces(
+                [(row.index, self._traces.get(row.index))
+                 for row in self._rows], self._trace_mode)
+        if store is not None:
+            store.write(result, spec=spec,
+                        wall_s=time.perf_counter() - self._started,
+                        run_id=run_id)
+        return result
 
 
 def run_experiment(spec: ExperimentSpec, *, progress=None, resume=None,
@@ -196,225 +366,49 @@ def run_experiment(spec: ExperimentSpec, *, progress=None, resume=None,
     ``err`` rows rather than raised.
     """
     spec.validate()
-    started = time.perf_counter()
     trace_mode = (spec.trace if spec.trace is not None
                   else telemetry.campaign_trace_mode())
-    traces: dict = {}
+    campaign = _Campaign(spec, progress=progress, resume=resume,
+                         trace_mode=trace_mode)
+    pending = campaign.lookup(as_cache(cache) if spec.faults is None
+                              else None)
 
-    ordinals = {point.index: n for n, point in enumerate(spec.points)}
-    rows: list[ResultRow] = []
-    if resume is not None:
-        if not isinstance(resume, ResultSet):
-            raise AnalysisError(
-                f"resume must be a ResultSet, got {type(resume).__name__}")
-        if resume.name != spec.name:
-            raise AnalysisError(
-                f"cannot resume experiment {spec.name!r} from a "
-                f"{resume.name!r} result set")
-        # Carried rows keep their identity; rows whose index is no
-        # longer in the spec sort after the live points (matches the
-        # legacy drivers, which carried every completed sample over).
-        extra = len(spec.points)
-        for row in resume.rows:
-            ordinal = ordinals.get(row.index)
-            if ordinal is None:
-                ordinal, extra = extra, extra + 1
-            rows.append(ResultRow(ordinal=ordinal, index=row.index,
-                                  status=row.status, value=row.value,
-                                  stage=row.stage, error=row.error))
-    done = {row.index for row in rows}
-    pending = [point for point in spec.points if point.index not in done]
+    # One dispatch decision. SPMD lanes (whole chunks through one
+    # batch_measure call, sharded one lane group per pool task when
+    # workers > 1) only on the batched backend of an untraced,
+    # fault-free campaign: traced campaigns stay per-point so traces
+    # aggregate exactly like a serial run. Fault plans count firings
+    # in mutable in-process state and scope the ambient plan per
+    # point, both invisible across a pool boundary, so they run
+    # in-process; so does an explicit "serial" backend, whatever
+    # ``workers`` says (the CLI defaults it to every CPU).
+    batched = (spec.backend == "batched" and trace_mode is None
+               and spec.faults is None)
+    width = spec.batch_width if batched else 1
+    workers = (1 if spec.backend == "serial" or spec.faults is not None
+               else spec.workers)
+    chunks = [pending[start:start + width]
+              for start in range(0, len(pending), width)]
+    tasks = [(tuple(point.index for point in chunk),
+              [point.params for point in chunk]) for chunk in chunks]
+    context = (spec.measure, spec.batch_measure if batched else None,
+               spec.stage, trace_mode, spec.solver, spec.faults)
 
-    failures = sum(1 for row in rows if not row.ok)
-    progress_broken = False
-    interrupted = False
+    def dispatch() -> None:
+        for outcomes, evicted, stats in parallel_map(
+                _chunk_worker, tasks, workers=workers, context=context):
+            add_solve_stats(*stats)
+            if evicted is not None:
+                _LOG.warning(
+                    "%s: batch_measure failed for a %d-point chunk "
+                    "(%s); chunk evicted to the per-point measure",
+                    spec.name, len(outcomes), evicted)
+            for outcome in outcomes:
+                campaign.merge(*outcome)
 
-    cache = as_cache(cache) if spec.faults is None else None
-    cache_keys: dict = {}
-    cache_hits: list = []
-    if cache is not None:
-        encode, decode = get_codec(spec.codec)
-        still_pending = []
-        for point in pending:
-            key = experiment_point_key(spec, point.params)
-            cache_keys[point.index] = key
-            hit, payload = cache.get(key)
-            if hit:
-                rows.append(ResultRow(ordinal=ordinals[point.index],
-                                      index=point.index, status="ok",
-                                      value=decode(payload)))
-                cache_hits.append((point.index, rows[-1].value))
-            else:
-                still_pending.append(point)
-        pending = still_pending
-
-    def _cache_store(index, value) -> None:
-        """Commit a freshly measured point; misses only, never faults."""
-        if cache is None:
-            return
-        key = cache_keys.get(index)
-        if key is not None:
-            cache.put(key, encode(value))
-
-    def _quarantine(ordinal: int, index, stage: str, error: str) -> None:
-        nonlocal failures
-        rows.append(ResultRow(ordinal=ordinal, index=index, status="err",
-                              stage=stage, error=error))
-        failures += 1
-        if (spec.max_failures is not None
-                and failures > spec.max_failures):
-            raise AnalysisError(
-                f"{spec.name} aborted: {failures} sample failures "
-                f"exceed max_failures={spec.max_failures}; last: "
-                f"{index}: [{stage}] {error}")
-
-    def _progress(index, value) -> None:
-        nonlocal progress_broken
-        if progress is None or progress_broken:
-            return
-        try:
-            progress(index, value)
-        except Exception as exc:
-            progress_broken = True
-            warnings.warn(
-                f"{spec.name} progress callback raised "
-                f"{type(exc).__name__}: {exc}; further calls "
-                f"suppressed, campaign continues", RuntimeWarning,
-                stacklevel=3)
-
-    # SIGTERM (container/CI kill) must take the same partial-results
-    # path as Ctrl-C; the scope is entered manually so the existing
-    # interrupt handling below stays at one indentation level.
-    _term_scope = sigterm_interrupts()
-    _term_scope.__enter__()
-    try:
-        for index, value in cache_hits:
-            _progress(index, value)
-        if spec.faults is not None:
-            # Fault campaigns count firings in mutable in-process state
-            # and scope the ambient plan per point; both are invisible
-            # across a pool boundary, so they always run serially.
-            for point in pending:
-                index = point.index
-                ordinal = ordinals[index]
-                if spec.faults.fires("sample_failure", sample=index):
-                    _quarantine(ordinal, index, "injected",
-                                "injected sample failure")
-                    continue
-                scope = (spec.faults.sample_scope(index)
-                         if isinstance(index, int) else nullcontext())
-                tracer = (telemetry.make_tracer(trace_mode)
-                          if trace_mode is not None else None)
-                trace_scope = (telemetry.trace(tracer)
-                               if tracer is not None else nullcontext())
-                try:
-                    with scope, inject(spec.faults), trace_scope, \
-                            solver_scope(spec.solver):
-                        value = spec.measure(point.params)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    if tracer is not None:
-                        traces[index] = tracer.snapshot()
-                    _quarantine(ordinal, index, spec.stage,
-                                f"{type(exc).__name__}: {exc}")
-                    continue
-                if tracer is not None:
-                    traces[index] = tracer.snapshot()
-                rows.append(ResultRow(ordinal=ordinal, index=index,
-                                      status="ok", value=value))
-                _progress(index, value)
-        elif spec.resolved_backend() == "batched" and trace_mode is None:
-            # SPMD lanes: whole chunks of points go through one
-            # vectorized batch_measure call. With ``workers > 1`` this
-            # is the *sharded-batched* mode: each chunk is one
-            # LaneGroup-sized shard, shipped whole to a pool worker
-            # that runs the batched Newton/transient on it, with the
-            # task-invariant context (batch_measure, measure, stage,
-            # solver) pickled once per shard. Per-lane failures come
-            # back as BatchPointFailure values and quarantine exactly
-            # like a raised serial measurement; a chunk whose batched
-            # call itself raises is *evicted to the per-point measure
-            # in-worker* (same results, serial speed) rather than
-            # lost, and the reason is logged here. Tracing campaigns
-            # take the per-point path instead (the branch above this
-            # one never sees trace_mode set) so traces aggregate
-            # exactly like a serial run.
-            width = spec.batch_width
-            chunk_tasks = []
-            for start in range(0, len(pending), width):
-                chunk = pending[start:start + width]
-                chunk_tasks.append(
-                    (tuple(point.index for point in chunk),
-                     [point.params for point in chunk]))
-            batch_context = (spec.batch_measure, spec.measure,
-                             spec.stage, spec.solver)
-            for outcomes, evicted, stats in parallel_map(
-                    _batch_chunk_worker, chunk_tasks,
-                    workers=spec.workers, context=batch_context):
-                add_solve_stats(*stats)
-                if evicted is not None:
-                    _LOG.warning(
-                        "%s: batch_measure failed for a %d-point chunk "
-                        "(%s); chunk evicted to the per-point measure",
-                        spec.name, len(outcomes), evicted)
-                for outcome in outcomes:
-                    if outcome[0] == "ok":
-                        _, index, value = outcome
-                        rows.append(ResultRow(ordinal=ordinals[index],
-                                              index=index, status="ok",
-                                              value=value))
-                        _cache_store(index, value)
-                        _progress(index, value)
-                    else:
-                        _, index, stage, message = outcome
-                        _quarantine(ordinals[index], index, stage,
-                                    message)
-        else:
-            # An explicit "serial" backend stays in-process whatever
-            # ``workers`` says (the CLI defaults it to every CPU).
-            workers = 1 if spec.backend == "serial" else spec.workers
-            tasks = [(point.index, point.params) for point in pending]
-            point_context = (spec.measure, spec.stage, trace_mode,
-                             spec.solver)
-            for outcome in parallel_map(_measure_worker, tasks,
-                                        workers=workers,
-                                        context=point_context):
-                add_solve_stats(*outcome[-1])
-                if outcome[0] == "ok":
-                    _, index, value, snap, _stats = outcome
-                    if snap is not None:
-                        traces[index] = snap
-                    rows.append(ResultRow(ordinal=ordinals[index],
-                                          index=index, status="ok",
-                                          value=value))
-                    _cache_store(index, value)
-                    _progress(index, value)
-                else:
-                    _, index, stage, message, snap, _stats = outcome
-                    if snap is not None:
-                        traces[index] = snap
-                    _quarantine(ordinals[index], index, stage, message)
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        _term_scope.__exit__(None, None, None)
-
-    rows.sort(key=lambda row: row.ordinal)
-    result = ResultSet(name=spec.name, codec=spec.codec,
-                       metadata=dict(spec.metadata), rows=rows,
-                       interrupted=interrupted)
-    if trace_mode is not None:
-        # Snapshots merge in canonical row order (never completion
-        # order), so a pooled campaign aggregates exactly like a serial
-        # one. Resumed rows carried over without traces are skipped.
-        result.trace = telemetry.aggregate_traces(
-            [(row.index, traces.get(row.index)) for row in rows],
-            trace_mode)
-    wall_s = time.perf_counter() - started
+    campaign.run(dispatch)
     if store is not None:
         from repro.runtime.experiment.store import ArtifactStore
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
-        store.write(result, spec=spec, wall_s=wall_s, run_id=run_id)
-    return result
+    return campaign.finish(store, run_id)

@@ -35,11 +35,12 @@ from repro.spice.sparse import validate_solver
 
 
 #: The execution backends a spec may name. ``serial`` runs points one
-#: at a time in-process, ``pool`` distributes them over a process pool
-#: (``workers``), ``batched`` hands whole chunks of points to a
-#: vectorized ``batch_measure`` (SPMD lanes; see
-#: :mod:`repro.spice.batch`).
-BACKENDS = ("serial", "pool", "batched")
+#: at a time in-process whatever ``workers`` says; ``batched`` hands
+#: whole chunks of points to a vectorized ``batch_measure`` (SPMD
+#: lanes; see :mod:`repro.spice.batch`). A spec naming neither
+#: (``backend=None``) measures one point per task, over a process pool
+#: when ``workers > 1``.
+BACKENDS = ("serial", "batched")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,9 @@ class ExperimentSpec:
             (the CLI ``--trace``/``--profile`` flags). Traces are
             aggregated into the result set's ``repro-trace-v1`` section.
         backend: execution backend, one of :data:`BACKENDS`; None
-            (default) resolves to ``"pool"`` when ``workers > 1`` and
-            ``"serial"`` otherwise, so existing specs are unchanged.
+            (default) measures one point per task, over a process pool
+            when ``workers > 1``; ``"serial"`` stays in-process
+            whatever ``workers`` says.
             ``"batched"`` requires ``batch_measure``; combined with
             ``workers > 1`` it runs *sharded-batched* — points are
             chunked into per-worker lane groups, each pool worker
@@ -150,12 +152,6 @@ class ExperimentSpec:
     batch_width: int = 128
     solver: str | None = None
 
-    def resolved_backend(self) -> str:
-        """The backend this spec will execute on (never None)."""
-        if self.backend is not None:
-            return self.backend
-        return "pool" if self.workers > 1 else "serial"
-
     def validate(self) -> None:
         if self.workers < 1:
             raise AnalysisError("workers must be >= 1")
@@ -172,7 +168,7 @@ class ExperimentSpec:
                     f"batch_measure(params_list) that evaluates whole "
                     f"lane groups (see repro.spice.batch); drivers "
                     f"without one can only run backend='serial' or "
-                    f"'pool'.")
+                    f"None.")
             if self.workers > 1 and "<locals>" in getattr(
                     self.batch_measure, "__qualname__", ""):
                 raise AnalysisError(

@@ -31,8 +31,8 @@ Design points:
 
 Fault-injection campaigns (:class:`~repro.runtime.faults.FaultPlan`)
 must stay serial: plans count firings in mutable in-process state that
-a pool cannot share. Drivers force ``workers = 1`` when a plan is
-attached.
+a pool cannot share. The experiment engine forces ``workers = 1`` when
+a plan is attached.
 """
 
 from __future__ import annotations

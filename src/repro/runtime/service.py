@@ -1,8 +1,13 @@
 """Supervised campaign service: durable jobs over watchdogged workers.
 
-``run_experiment`` executes a campaign *in this process*; this module
-is the serving layer above it — the front-end ROADMAP item 2 asks for,
-built failure-first. A :class:`CampaignService` turns an
+``run_experiment`` executes a campaign over a process pool with no
+crash recovery; this module supervises the same campaign as a durable
+job. It reuses the engine's bookkeeping unchanged — resume carry-over,
+cache lookup and store, quarantine and ``max_failures``, progress
+isolation, the SIGTERM scope and persistence all come from
+:mod:`repro.runtime.experiment.engine` — and adds only the
+supervision: chunk dispatch, the journal, the watchdog, backoff and
+salvage. A :class:`CampaignService` turns an
 :class:`~repro.runtime.experiment.spec.ExperimentSpec` into a
 **durable job**: points are split into chunks, each chunk runs in its
 own worker process, and every state transition is appended to a
@@ -60,13 +65,13 @@ from pathlib import Path
 
 from repro.errors import AnalysisError
 from repro.runtime import telemetry
-from repro.runtime.cache import as_cache, experiment_point_key
+from repro.runtime.cache import as_cache
+from repro.runtime.experiment.engine import _Campaign
 from repro.runtime.experiment.resultset import (
-    ResultRow, ResultSet, _decode_index, get_codec,
+    ResultSet, _decode_index, get_codec,
 )
 from repro.runtime.experiment.store import ArtifactStore
 from repro.runtime.faults import active_plan
-from repro.runtime.signals import sigterm_interrupts
 
 #: Version tag for journal records; bump when fields change meaning.
 JOURNAL_SCHEMA = "repro-journal-v1"
@@ -244,7 +249,11 @@ def _chunk_worker(tasks, out_path: str, codec: str, crash) -> None:
 
 
 def _load_chunk_rows(path: Path, decode) -> dict:
-    """Valid per-point records from a (possibly torn) chunk file."""
+    """Valid per-point records from a (possibly torn) chunk file.
+
+    Maps each index to ``(status, value, stage, error)``, the outcome
+    form the engine's campaign bookkeeping carries and merges.
+    """
     rows: dict = {}
     if not path.is_file():
         return rows
@@ -258,9 +267,10 @@ def _load_chunk_rows(path: Path, decode) -> dict:
                 index = _decode_index(record["index"])
                 status = record["status"]
                 if status == "ok":
-                    rows[index] = ("ok", decode(record["value"]))
+                    rows[index] = ("ok", decode(record["value"]), None,
+                                   None)
                 elif status == "err":
-                    rows[index] = ("err", record.get("stage"),
+                    rows[index] = ("err", None, record.get("stage"),
                                    record.get("error"))
             except Exception:
                 continue  # torn or corrupt line: salvage the rest
@@ -356,66 +366,23 @@ class CampaignService:
                 "run_experiment (plans count firings in-process); the "
                 "service's own chaos points are driven by the ambient "
                 "plan instead")
-        started = time.perf_counter()
+        campaign = _Campaign(spec, progress=progress, resume=resume)
         run_id = run_id or self.store._new_run_id(spec.name)
         journal = JournalWriter(self.journal_path(run_id))
         _, decode = get_codec(spec.codec)
-        encode, _ = get_codec(spec.codec)
-
-        ordinals = {point.index: n for n, point in enumerate(spec.points)}
-        rows: list[ResultRow] = []
-        if resume is not None:
-            if not isinstance(resume, ResultSet):
-                raise AnalysisError(
-                    f"resume must be a ResultSet, got "
-                    f"{type(resume).__name__}")
-            if resume.name != spec.name:
-                raise AnalysisError(
-                    f"cannot resume job {spec.name!r} from a "
-                    f"{resume.name!r} result set")
-            extra = len(spec.points)
-            for row in resume.rows:
-                ordinal = ordinals.get(row.index)
-                if ordinal is None:
-                    ordinal, extra = extra, extra + 1
-                rows.append(ResultRow(ordinal=ordinal, index=row.index,
-                                      status=row.status, value=row.value,
-                                      stage=row.stage, error=row.error))
-        done = {row.index for row in rows}
 
         # Salvage rows a previous (crashed) service run already paid
         # for: every valid line in every chunk file counts.
         salvaged = self._salvage(run_id, decode)
         for index, outcome in salvaged.items():
-            if index in done or index not in ordinals:
-                continue
-            done.add(index)
-            rows.append(self._row_from_outcome(ordinals[index], index,
-                                               outcome))
+            campaign.carry(index, *outcome)
         if salvaged:
             self.stats.salvaged_rows += len(salvaged)
             self._count("salvaged_rows", len(salvaged))
             journal.append({"t": "salvaged", "rows": len(salvaged)})
 
-        pending = [point for point in spec.points
-                   if point.index not in done]
-
-        # Cache lookups, by the same content keys run_experiment uses.
-        cache_keys: dict = {}
-        if self.cache is not None:
-            still = []
-            for point in pending:
-                key = experiment_point_key(spec, point.params)
-                cache_keys[point.index] = key
-                hit, payload = self.cache.get(key)
-                if hit:
-                    rows.append(ResultRow(ordinal=ordinals[point.index],
-                                          index=point.index, status="ok",
-                                          value=decode(payload)))
-                    self.stats.cache_hits += 1
-                else:
-                    still.append(point)
-            pending = still
+        pending = campaign.lookup(self.cache)
+        self.stats.cache_hits += len(campaign.hits)
 
         journal.append({"t": "job", "run_id": run_id, "name": spec.name,
                         "points": len(spec.points),
@@ -423,73 +390,25 @@ class CampaignService:
                         "chunk_size": self.config.chunk_size,
                         "workers": self.config.workers})
 
-        chunks = [
+        queue = [
             _Chunk(no=n, points=pending[i:i + self.config.chunk_size])
             for n, i in enumerate(
                 range(0, len(pending), self.config.chunk_size))
         ]
-        queue: list[_Chunk] = list(chunks)
         active: list[_Active] = []
-        failures = sum(1 for row in rows if not row.ok)
-        progress_broken = False
-        interrupted = False
 
-        def _progress(index, value) -> None:
-            nonlocal progress_broken
-            if progress is None or progress_broken:
-                return
-            try:
-                progress(index, value)
-            except Exception as exc:
-                progress_broken = True
-                warnings.warn(
-                    f"{spec.name} progress callback raised "
-                    f"{type(exc).__name__}: {exc}; further calls "
-                    f"suppressed, job continues", RuntimeWarning,
-                    stacklevel=3)
-
-        def _merge(index, outcome) -> None:
-            nonlocal failures
-            row = self._row_from_outcome(ordinals[index], index, outcome)
-            rows.append(row)
-            done.add(index)
-            if row.ok:
-                key = cache_keys.get(index)
-                if self.cache is not None and key is not None:
-                    self.cache.put(key, encode(row.value))
-                _progress(index, row.value)
-            else:
-                failures += 1
-                if (spec.max_failures is not None
-                        and failures > spec.max_failures):
-                    raise AnalysisError(
-                        f"{spec.name} aborted: {failures} sample "
-                        f"failures exceed "
-                        f"max_failures={spec.max_failures}; last: "
-                        f"{index}: [{row.stage}] {row.error}")
-
-        term_scope = sigterm_interrupts()
-        term_scope.__enter__()
-        try:
+        def supervise() -> None:
             while queue or active:
                 self._dispatch(queue, active, spec, run_id, journal)
-                self._reap(queue, active, spec, run_id, journal, decode,
-                           _merge)
+                self._reap(queue, active, journal, decode, campaign.merge)
                 if queue or active:
                     time.sleep(self.config.poll_interval_s)
-        except KeyboardInterrupt:
-            interrupted = True
-            self._shutdown(active, run_id, journal, decode, _merge)
-        finally:
-            term_scope.__exit__(None, None, None)
 
-        rows.sort(key=lambda row: row.ordinal)
-        result = ResultSet(name=spec.name, codec=spec.codec,
-                           metadata=dict(spec.metadata), rows=rows,
-                           interrupted=interrupted)
-        wall_s = time.perf_counter() - started
-        self.store.write(result, spec=spec, wall_s=wall_s, run_id=run_id)
-        journal.append({"t": "interrupted" if interrupted else "finished",
+        campaign.run(supervise, on_interrupt=lambda: self._shutdown(
+            active, journal, decode, campaign.merge))
+        result = campaign.finish(self.store, run_id)
+        journal.append({"t": "interrupted" if result.interrupted
+                        else "finished",
                         "counts": result.counts,
                         "stats": self.stats.to_json()})
         return result
@@ -549,8 +468,7 @@ class CampaignService:
         age_from_beat = time.time() - mtime
         return min(age_from_start, age_from_beat)
 
-    def _reap(self, queue, active, spec, run_id, journal, decode,
-              merge) -> None:
+    def _reap(self, queue, active, journal, decode, merge) -> None:
         for entry in list(active):
             process = entry.process
             if process.is_alive():
@@ -571,7 +489,7 @@ class CampaignService:
             outcomes = _load_chunk_rows(entry.out_path, decode)
             for point in list(chunk.points):
                 if point.index in outcomes:
-                    merge(point.index, outcomes[point.index])
+                    merge(point.index, *outcomes[point.index])
                     chunk.points.remove(point)
             if not chunk.points:
                 self.stats.chunks_completed += 1
@@ -589,10 +507,9 @@ class CampaignService:
                             "missing": [p.index for p in chunk.points]})
             if chunk.attempt >= self.config.max_attempts:
                 for point in chunk.points:
-                    merge(point.index,
-                          ("err", "service",
-                           f"worker died (exit {process.exitcode}) on "
-                           f"all {chunk.attempt} attempts"))
+                    merge(point.index, "err", None, "service",
+                          f"worker died (exit {process.exitcode}) on "
+                          f"all {chunk.attempt} attempts")
                 self.stats.quarantined += len(chunk.points)
                 self._count("quarantined", len(chunk.points))
                 journal.append({"t": "quarantine", "chunk": chunk.no,
@@ -610,7 +527,7 @@ class CampaignService:
                             "attempt": chunk.attempt,
                             "backoff_s": backoff})
 
-    def _shutdown(self, active, run_id, journal, decode, merge) -> None:
+    def _shutdown(self, active, journal, decode, merge) -> None:
         """Terminate workers, salvage their partial chunks."""
         for entry in active:
             _kill(entry.process)
@@ -620,7 +537,7 @@ class CampaignService:
             for point in entry.chunk.points:
                 if point.index in outcomes:
                     try:
-                        merge(point.index, outcomes[point.index])
+                        merge(point.index, *outcomes[point.index])
                     except AnalysisError:
                         pass  # max_failures during shutdown: keep rows
         journal.append({"t": "terminated",
@@ -637,14 +554,6 @@ class CampaignService:
         for path in sorted(chunk_dir.iterdir()):
             outcomes.update(_load_chunk_rows(path, decode))
         return outcomes
-
-    @staticmethod
-    def _row_from_outcome(ordinal, index, outcome) -> ResultRow:
-        if outcome[0] == "ok":
-            return ResultRow(ordinal=ordinal, index=index, status="ok",
-                             value=outcome[1])
-        return ResultRow(ordinal=ordinal, index=index, status="err",
-                         stage=outcome[1], error=outcome[2])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ import pytest
 
 import repro.analysis.montecarlo as mc_module
 from repro.analysis import MonteCarloConfig, run_monte_carlo
+from repro.analysis.montecarlo import monte_carlo_spec
 from repro.core import ShifterMetrics, StimulusPlan
 from repro.errors import AnalysisError
-from repro.runtime import FaultPlan, FaultSpec
+from repro.runtime import FaultPlan, FaultSpec, run_experiment
 
 pytestmark = pytest.mark.resilience
 
@@ -179,8 +180,9 @@ class TestInterruptionAndResume:
             if index == 1:
                 raise KeyboardInterrupt
 
-        partial = run_monte_carlo("sstvs", 0.8, 1.2, config,
-                                  progress=interrupting)
+        partial = run_experiment(
+            monte_carlo_spec("sstvs", 0.8, 1.2, config),
+            progress=interrupting)
         resumed = run_monte_carlo("sstvs", 0.8, 1.2, config,
                                   resume=partial)
         assert not resumed.interrupted
@@ -191,7 +193,8 @@ class TestInterruptionAndResume:
     def test_resume_skips_quarantined(self, stub_characterize):
         config = MonteCarloConfig(runs=4, seed=3,
                                   faults=FaultPlan.fail_samples([2]))
-        partial = run_monte_carlo("sstvs", 0.8, 1.2, config)
+        partial = run_experiment(
+            monte_carlo_spec("sstvs", 0.8, 1.2, config))
         resumed = run_monte_carlo("sstvs", 0.8, 1.2, config,
                                   resume=partial)
         # The quarantined sample is carried over, not retried.

@@ -9,6 +9,7 @@ from repro.runtime.experiment import (
     ExperimentPoint, ExperimentSpec, ResultRow, ResultSet, run_experiment,
 )
 from repro.runtime.faults import FaultPlan
+from repro.runtime.service import CampaignService, ServiceConfig
 
 pytestmark = pytest.mark.experiment
 
@@ -35,12 +36,34 @@ def _batch_flaky(params_list):
             if p == 3.0 else p * p for p in params_list]
 
 
+def _batch_exploding(params_list):
+    """Batch measure whose whole call fails on any chunk holding 2.0."""
+    if 2.0 in params_list:
+        raise RuntimeError("stack refused")
+    return [p * p for p in params_list]
+
+
+#: Every call of :func:`_batch_recording` made in this process.
+_BATCH_CALLS = []
+
+
+def _batch_recording(params_list):
+    _BATCH_CALLS.append(list(params_list))
+    return [p * p for p in params_list]
+
+
 def _spec(measure=square, n=5, **overrides):
     points = [ExperimentPoint(i, float(i)) for i in range(n)]
     options = {"name": "unit", "measure": measure, "points": points,
                "stage": "measure", "codec": "json"}
     options.update(overrides)
     return ExperimentSpec(**options)
+
+
+@pytest.fixture
+def run():
+    """The campaign entry point under test (see TestServiceEntryPoint)."""
+    return run_experiment
 
 
 class TestValidation:
@@ -96,12 +119,12 @@ class TestExecution:
         run_experiment(_spec(), progress=lambda i, v: seen.append((i, v)))
         assert sorted(seen) == [(i, float(i) ** 2) for i in range(5)]
 
-    def test_progress_exception_isolated_with_warning(self):
+    def test_progress_exception_isolated_with_warning(self, run):
         def bad_progress(index, value):
             raise RuntimeError("observer crashed")
 
         with pytest.warns(RuntimeWarning, match="progress callback"):
-            result = run_experiment(_spec(), progress=bad_progress)
+            result = run(_spec(), progress=bad_progress)
         assert result.counts["ok"] == 5  # campaign unharmed
 
     def test_keyboard_interrupt_returns_partial(self):
@@ -119,8 +142,8 @@ class TestExecution:
 
 
 class TestQuarantine:
-    def test_errors_become_rows(self):
-        result = run_experiment(_spec(measure=flaky))
+    def test_errors_become_rows(self, run):
+        result = run(_spec(measure=flaky))
         assert result.counts == {"total": 5, "ok": 4, "err": 1,
                                  "interrupted": False}
         failure = result.sample_failures()[0]
@@ -133,58 +156,88 @@ class TestQuarantine:
         assert result.counts["err"] == 1
         assert result.sample_failures()[0].index == 3
 
-    def test_max_failures_aborts(self):
+    def test_max_failures_aborts(self, run):
         with pytest.raises(AnalysisError, match="max_failures"):
-            run_experiment(_spec(measure=flaky, max_failures=0))
+            run(_spec(measure=flaky, max_failures=0))
 
-    def test_fault_plan_injects_and_forces_serial(self):
-        spec = _spec(faults=FaultPlan.fail_samples([1, 4]), workers=8)
+    @pytest.mark.parametrize("backend", [None, "batched"])
+    def test_fault_plan_injects_and_forces_serial(self, backend):
+        # A fault plan also keeps a batched campaign off the lane path:
+        # the batch call never happens, every point measures per point.
+        _BATCH_CALLS.clear()
+        spec = _spec(faults=FaultPlan.fail_samples([1, 4]), workers=8,
+                     backend=backend, batch_measure=_batch_recording)
         result = run_experiment(spec)
         failures = result.sample_failures()
         assert [f.index for f in failures] == [1, 4]
         assert all(f.stage == "injected" for f in failures)
+        assert _BATCH_CALLS == []
 
 
 class TestResume:
-    def test_resume_runs_only_missing_points(self):
-        calls = []
+    def test_resume_runs_only_missing_points(self, run, tmp_path):
+        # Calls are logged to a file: the service measures in its
+        # chunk worker processes.
+        log = tmp_path / "calls.log"
 
         def tracking(x):
-            calls.append(x)
+            with open(log, "a") as handle:
+                handle.write(f"{x!r}\n")
             return x * x
 
-        first = run_experiment(_spec(measure=tracking, n=3))
+        first = run(_spec(measure=tracking, n=3))
         partial = ResultSet(name="unit", codec="json",
                             rows=list(first.rows))
-        calls.clear()
-        resumed = run_experiment(_spec(measure=tracking, n=5),
-                                 resume=partial)
+        log.unlink()
+        resumed = run(_spec(measure=tracking, n=5), resume=partial)
+        calls = [float(line) for line in log.read_text().split()]
         assert calls == [3.0, 4.0]
         assert resumed.values() == [float(i) ** 2 for i in range(5)]
 
-    def test_resume_carries_quarantined_rows(self):
+    def test_resume_carries_quarantined_rows(self, run):
         partial = ResultSet(name="unit", codec="json", rows=[
             ResultRow(ordinal=0, index=2, status="err", stage="measure",
                       error="ValueError: old failure")])
-        resumed = run_experiment(_spec(), resume=partial)
+        resumed = run(_spec(), resume=partial)
         assert resumed.counts["ok"] == 4
         assert resumed.sample_failures()[0].index == 2
 
-    def test_resume_name_mismatch_rejected(self):
+    def test_resume_name_mismatch_rejected(self, run):
         stranger = ResultSet(name="other-experiment", codec="json")
         with pytest.raises(AnalysisError, match="other-experiment"):
-            run_experiment(_spec(), resume=stranger)
+            run(_spec(), resume=stranger)
 
-    def test_resume_wrong_type_rejected(self):
+    def test_resume_wrong_type_rejected(self, run):
         with pytest.raises(AnalysisError):
-            run_experiment(_spec(), resume={"rows": []})
+            run(_spec(), resume={"rows": []})
 
-    def test_unknown_resume_indices_sort_after_live_points(self):
+    def test_unknown_resume_indices_sort_after_live_points(self, run):
         partial = ResultSet(name="unit", codec="json", rows=[
             ResultRow(ordinal=0, index=99, status="ok", value=0.5)])
-        resumed = run_experiment(_spec(), resume=partial)
+        resumed = run(_spec(), resume=partial)
         assert [row.index for row in resumed.rows] \
             == [0, 1, 2, 3, 4, 99]
+
+
+class TestServiceEntryPoint(TestResume):
+    """The engine-semantics tests again, through ``CampaignService.run``.
+
+    The service reuses the engine's campaign bookkeeping, so resume,
+    quarantine, ``max_failures`` and progress isolation must behave
+    the same through both entry points. This class inherits every
+    TestResume case and borrows three more; only ``run`` differs.
+    """
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        config = ServiceConfig(chunk_size=2, workers=2,
+                               poll_interval_s=0.005)
+        return CampaignService(tmp_path / "store", config=config).run
+
+    test_errors_become_rows = TestQuarantine.test_errors_become_rows
+    test_max_failures_aborts = TestQuarantine.test_max_failures_aborts
+    test_progress_exception_isolated_with_warning = (
+        TestExecution.test_progress_exception_isolated_with_warning)
 
 
 class TestBatchedBackend:
@@ -238,11 +291,10 @@ class TestBatchedBackend:
                                  batch_measure=self._batch_square))
 
     def test_resolved_backend_defaults(self):
-        assert _spec().resolved_backend() == "serial"
-        assert _spec(workers=3).resolved_backend() == "pool"
-        assert _spec(backend="serial",
-                     workers=3).resolved_backend() == "serial"
-        assert _spec(backend="batched").resolved_backend() == "batched"
+        # There is no "pool" backend: the default (None) already runs
+        # one point per task over a pool when workers > 1.
+        with pytest.raises(AnalysisError, match="backend"):
+            run_experiment(_spec(backend="pool", workers=3))
 
     def test_batched_identical_to_serial(self):
         serial = run_experiment(_spec(n=7))
@@ -280,18 +332,15 @@ class TestBatchedBackend:
         assert failure.stage == "build"
         assert "lane died" in failure.error
 
-    def test_raising_chunk_evicted_to_serial(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_chunk_evicted_to_serial(self, workers):
         # A whole-call crash (e.g. the lanes cannot be stacked) must
         # not lose the chunk: every point re-runs through the serial
-        # measure and the campaign still matches a serial run.
-        def exploding(params_list):
-            if 2.0 in params_list:
-                raise RuntimeError("stack refused")
-            return [p * p for p in params_list]
-
+        # measure and the campaign still matches a serial run. At
+        # workers=2 the eviction happens inside a pool worker.
         result = run_experiment(_spec(n=6, backend="batched",
-                                      batch_width=2,
-                                      batch_measure=exploding))
+                                      batch_width=2, workers=workers,
+                                      batch_measure=_batch_exploding))
         assert result.counts["err"] == 0
         assert result.values() == [float(i) ** 2 for i in range(6)]
 

@@ -28,6 +28,7 @@ from repro.analysis import (
     MonteCarloConfig, SweepGrid, pvt_report, run_monte_carlo,
     sweep_delay_surface, validate_functionality,
 )
+from repro.analysis.montecarlo import monte_carlo_spec
 from repro.cli import build_parser
 from repro.core import ShifterMetrics, StimulusPlan
 from repro.runtime import (
@@ -235,9 +236,9 @@ class TestMonteCarloParity:
         full = run_monte_carlo(
             "sstvs", 0.8, 1.2,
             MonteCarloConfig(runs=20, seed=9, plan=FAST_PLAN))
-        partial = run_monte_carlo(
+        partial = run_experiment(monte_carlo_spec(
             "sstvs", 0.8, 1.2,
-            MonteCarloConfig(runs=8, seed=9, plan=FAST_PLAN))
+            MonteCarloConfig(runs=8, seed=9, plan=FAST_PLAN)))
         resumed = run_monte_carlo(
             "sstvs", 0.8, 1.2,
             MonteCarloConfig(runs=20, seed=9, plan=FAST_PLAN, workers=3),
