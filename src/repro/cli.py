@@ -104,6 +104,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count of at least 0 (exit 2 otherwise)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_workers_arg(parser, help_text: str) -> None:
     parser.add_argument("--workers", type=_positive_int,
                         default=usable_cpus(),
@@ -929,9 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="annealing seed (same seed => bitwise-identical "
                         "floorplan)")
-    p.add_argument("--restarts", type=int, default=1,
+    p.add_argument("--restarts", type=_positive_int, default=1,
                    help="independent annealing restarts per strategy")
-    p.add_argument("--moves", type=int, default=None,
+    p.add_argument("--moves", type=_non_negative_int, default=None,
                    help="annealing moves (default: scaled to design)")
     p.add_argument("--required", type=float, default=2.0,
                    help="sign-off required arrival [ns]")

@@ -19,6 +19,7 @@ the same convention multi-voltage liberty files use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,26 +50,45 @@ class NldmTable:
     slews: np.ndarray
     loads: np.ndarray
     values: np.ndarray   #: shape (len(slews), len(loads))
+    #: Python-float copies of (slews, loads, values), made on first lookup.
+    _grid: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def lookup(self, slew: float, load: float) -> float:
-        """Bilinear interpolation with edge clamping (liberty style)."""
-        slew = float(np.clip(slew, self.slews[0], self.slews[-1]))
-        load = float(np.clip(load, self.loads[0], self.loads[-1]))
-        i = int(np.clip(np.searchsorted(self.slews, slew) - 1, 0,
-                        len(self.slews) - 2))
-        j = int(np.clip(np.searchsorted(self.loads, load) - 1, 0,
-                        len(self.loads) - 2))
-        s0, s1 = self.slews[i], self.slews[i + 1]
-        l0, l1 = self.loads[j], self.loads[j + 1]
+        """Bilinear interpolation with edge clamping (liberty style).
+
+        Runs on Python-float copies of the table, so a lookup pays no
+        numpy scalar overhead; clamp, bisect and the bilinear sum are
+        the same IEEE operations in the same order as on the arrays.
+        """
+        if self._grid is None:
+            self._grid = tuple(np.asarray(array).tolist() for array in
+                               (self.slews, self.loads, self.values))
+        slews, loads, v = self._grid
+        slew, i = _locate(slews, float(slew))
+        load, j = _locate(loads, float(load))
+        s0, s1 = slews[i], slews[i + 1]
+        l0, l1 = loads[j], loads[j + 1]
         fs = (slew - s0) / (s1 - s0) if s1 > s0 else 0.0
         fl = (load - l0) / (l1 - l0) if l1 > l0 else 0.0
-        v = self.values
-        return float(
-            v[i, j] * (1 - fs) * (1 - fl) + v[i + 1, j] * fs * (1 - fl)
-            + v[i, j + 1] * (1 - fs) * fl + v[i + 1, j + 1] * fs * fl)
+        return (v[i][j] * (1 - fs) * (1 - fl)
+                + v[i + 1][j] * fs * (1 - fl)
+                + v[i][j + 1] * (1 - fs) * fl
+                + v[i + 1][j + 1] * fs * fl)
 
     def max_value(self) -> float:
         return float(np.nanmax(self.values))
+
+
+def _locate(axis: list, x: float) -> tuple:
+    """``x`` clamped to ``axis`` and the index of the interval holding
+    it: ``np.clip`` then ``np.searchsorted(...) - 1`` clipped to
+    ``[0, len(axis) - 2]``, on Python floats."""
+    if x < axis[0]:
+        x = axis[0]
+    elif x > axis[-1]:
+        x = axis[-1]
+    return x, min(max(bisect_left(axis, x) - 1, 0), len(axis) - 2)
 
 
 @dataclass

@@ -6,8 +6,11 @@ left of ``c`` iff ``b`` precedes ``c`` in both sequences, and below
 Any pair of permutations therefore encodes a non-overlapping packing
 of all blocks — the annealer can never propose an illegal floorplan.
 Coordinates are recovered with the longest-weighted-common-subsequence
-evaluation on a Fenwick prefix-max tree, ``O(n log n)`` per candidate,
-which is what lets thousand-block designs anneal in seconds.
+evaluation on a Pareto staircase of (Gamma- position, reach) pairs:
+each block costs one ``O(log m)`` bisect plus one list splice (a
+``memmove`` of at most ``m`` pointers), where ``m <= n`` is the
+staircase length, which is what lets thousand-block designs anneal in
+seconds.
 
 The objective (see :class:`ObjectiveWeights`) folds the paper's
 wiring argument into classic floorplanning cost: bounding-box area and
@@ -22,6 +25,7 @@ run, machine, and worker count.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,41 +106,60 @@ def pack_sequence_pair(gamma_pos, gamma_neg, widths, heights):
 
     Returns ``(x, y, total_width, total_height)`` with ``x``/``y``
     lists indexed by block. Longest-weighted-common-subsequence
-    evaluation: a Fenwick tree keyed by each block's position in
-    Gamma- holds the running prefix-max of ``coord + extent``, giving
-    ``O(n log n)`` per axis.
+    evaluation: each axis walks Gamma+ (reversed for ``y``) and keeps
+    a staircase of ``coord + extent`` keyed by each block's position
+    in Gamma-; see :func:`_pack_axis`.
     """
-    n = len(gamma_pos)
-    pos_neg = [0] * n
-    for index, block in enumerate(gamma_neg):
-        pos_neg[block] = index
-    x = _pack_axis(gamma_pos, pos_neg, widths, n)
-    y = _pack_axis(reversed(gamma_pos), pos_neg, heights, n)
-    total_w = max(x[b] + widths[b] for b in range(n))
-    total_h = max(y[b] + heights[b] for b in range(n))
+    return _pack(gamma_pos, _inverse(gamma_neg), widths, heights)
+
+
+def _inverse(permutation) -> list:
+    """``inverse[block]`` = the block's position in ``permutation``."""
+    inverse = [0] * len(permutation)
+    for index, block in enumerate(permutation):
+        inverse[block] = index
+    return inverse
+
+
+def _pack(gamma_pos, pos_neg, widths, heights):
+    """:func:`pack_sequence_pair` given the inverse of Gamma-."""
+    x, total_w = _pack_axis(gamma_pos, pos_neg, widths)
+    y, total_h = _pack_axis(reversed(gamma_pos), pos_neg, heights)
     return x, y, total_w, total_h
 
 
-def _pack_axis(order, keys, extents, n):
-    """Longest-path coordinates along one axis (Fenwick prefix max)."""
-    tree = [0.0] * (n + 1)
-    coords = [0.0] * n
+def _pack_axis(order, keys, extents):
+    """Longest-path coordinates along one axis, plus the axis total.
+
+    ``stair_keys``/``stair_reach`` form a Pareto staircase of the
+    blocks placed so far: keys ascending and reaches strictly
+    ascending, every dominated entry (a larger key with no larger
+    reach) dropped. A block's coordinate is the largest reach among
+    smaller keys, which is the entry just before its insertion point.
+    Each coordinate is ``best + extent`` over the same predecessor set
+    as the plain longest path, under an exact ``max``, so the result
+    is bitwise that of any other evaluation order. The last reach is
+    the largest of all, i.e. the axis total.
+    """
+    coords = [0.0] * len(keys)
+    stair_keys: list = []
+    stair_reach: list = []
     for block in order:
-        index = keys[block] + 1
-        best = 0.0
-        i = index
-        while i > 0:
-            if tree[i] > best:
-                best = tree[i]
-            i -= i & -i
+        key = keys[block]
+        at = bisect_left(stair_keys, key)
+        best = stair_reach[at - 1] if at else 0.0
         coords[block] = best
         reach = best + extents[block]
-        i = index
-        while i <= n:
-            if tree[i] < reach:
-                tree[i] = reach
-            i += i & -i
-    return coords
+        if reach <= best:
+            continue            # adds nothing over its predecessor
+        # Splice out the successors it dominates. Each entry leaves at
+        # most once, so the scan is amortized O(1) per block.
+        stop = at
+        while stop < len(stair_reach) and stair_reach[stop] <= reach:
+            stop += 1
+        stair_keys[at:stop] = (key,)
+        stair_reach[at:stop] = (reach,)
+    return coords, (stair_reach[-1] if stair_reach else 0.0)
 
 
 class CostModel:
@@ -250,19 +273,27 @@ def anneal_floorplan(design: SocDesign, assignment: ShifterAssignment,
         raise AnalysisError("need at least 2 blocks to floorplan")
     if moves is None:
         moves = default_moves(n)
+    if moves < 0:
+        raise AnalysisError(f"annealing moves must be >= 0, got {moves}")
     weights = weights or ObjectiveWeights()
     rng = np.random.default_rng(seed)
     model = CostModel(design, assignment, weights)
 
     widths = [float(m.width) for m in blocks]
     heights = [float(m.height) for m in blocks]
-    gamma_pos = list(rng.permutation(n))
-    gamma_neg = list(rng.permutation(n))
+    gamma_pos = rng.permutation(n).tolist()
+    gamma_neg = rng.permutation(n).tolist()
+    pos_neg = _inverse(gamma_neg)     #: kept in step across swaps
     rotated = [False] * n
 
+    def swap_neg(i, j):
+        gamma_neg[i], gamma_neg[j] = gamma_neg[j], gamma_neg[i]
+        pos_neg[gamma_neg[i]] = i
+        pos_neg[gamma_neg[j]] = j
+
     def evaluate():
-        x, y, total_w, total_h = pack_sequence_pair(
-            gamma_pos, gamma_neg, widths, heights)
+        x, y, total_w, total_h = _pack(gamma_pos, pos_neg, widths,
+                                       heights)
         cx = np.asarray(x) + np.asarray(widths) / 2.0
         cy = np.asarray(y) + np.asarray(heights) / 2.0
         return model.breakdown(cx, cy, total_w, total_h)
@@ -291,7 +322,7 @@ def anneal_floorplan(design: SocDesign, assignment: ShifterAssignment,
             if move_kind in (0, 2):
                 gamma_pos[i], gamma_pos[j] = gamma_pos[j], gamma_pos[i]
             if move_kind in (1, 2):
-                gamma_neg[i], gamma_neg[j] = gamma_neg[j], gamma_neg[i]
+                swap_neg(i, j)
             undo = ("swap", move_kind, i, j)
 
         candidate = evaluate()
@@ -319,8 +350,7 @@ def anneal_floorplan(design: SocDesign, assignment: ShifterAssignment,
                     gamma_pos[i], gamma_pos[j] = (gamma_pos[j],
                                                   gamma_pos[i])
                 if move_kind in (1, 2):
-                    gamma_neg[i], gamma_neg[j] = (gamma_neg[j],
-                                                  gamma_neg[i])
+                    swap_neg(i, j)
         temperature *= alpha
 
     gamma_pos, gamma_neg, rotated = best_state

@@ -67,6 +67,15 @@ class TimingReport:
     worst_output: str
     worst_phase: str
     worst_arrival: float
+    #: net -> worst arrival over its phases, built once from arrivals.
+    net_arrivals: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        worst: dict = {}
+        for (net, _), point in self.arrivals.items():
+            if net not in worst or point.arrival > worst[net]:
+                worst[net] = point.arrival
+        self.net_arrivals = worst
 
     def slack(self, required: float) -> float:
         """Setup slack against a required arrival time."""
@@ -77,11 +86,11 @@ class TimingReport:
 
     def output_arrival(self, net: str) -> float:
         """Worst arrival (either phase) at one net."""
-        candidates = [p.arrival for (n, phase), p in
-                      self.arrivals.items() if n == net]
-        if not candidates:
-            raise AnalysisError(f"no arrival recorded at {net!r}")
-        return max(candidates)
+        try:
+            return self.net_arrivals[net]
+        except KeyError:
+            raise AnalysisError(
+                f"no arrival recorded at {net!r}") from None
 
     def pretty(self, required: float | None = None) -> str:
         lines = [f"Critical path to {self.worst_output} "
@@ -140,7 +149,7 @@ class StaEngine:
         load = self.netlist.net_wire_cap.get(net, 0.0)
         for sink in self.netlist.loads_of(net):
             load += self.library.input_capacitance(sink.cell)
-        if net in self.netlist.primary_outputs:
+        if self.netlist.is_primary_output(net):
             load += self.output_load
         return load
 

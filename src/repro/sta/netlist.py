@@ -47,6 +47,9 @@ class GateNetlist:
         # and load computation quadratic.
         self._net_loads: dict[str, list] = {}
         self._net_driver: dict[str, GateInstance] = {}
+        # Membership sets mirroring the ordered port lists.
+        self._input_set: set[str] = set()
+        self._output_set: set[str] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -66,11 +69,13 @@ class GateNetlist:
         return instance
 
     def add_primary_input(self, net: str) -> None:
-        if net not in self.primary_inputs:
+        if net not in self._input_set:
+            self._input_set.add(net)
             self.primary_inputs.append(net)
 
     def add_primary_output(self, net: str) -> None:
-        if net not in self.primary_outputs:
+        if net not in self._output_set:
+            self._output_set.add(net)
             self.primary_outputs.append(net)
 
     def set_wire_cap(self, net: str, capacitance: float) -> None:
@@ -86,6 +91,12 @@ class GateNetlist:
     def driver_of(self, net: str) -> GateInstance | None:
         return self._net_driver.get(net)
 
+    def is_primary_input(self, net: str) -> bool:
+        return net in self._input_set
+
+    def is_primary_output(self, net: str) -> bool:
+        return net in self._output_set
+
     def graph(self) -> "nx.DiGraph":
         """Instance-level DAG (edges follow nets)."""
         g = nx.DiGraph()
@@ -98,20 +109,26 @@ class GateNetlist:
 
     def validate(self) -> None:
         """Check the netlist is a drivable DAG."""
+        self._checked_order()
+
+    def topological_instances(self) -> list[GateInstance]:
+        return [self.instances[name] for name in self._checked_order()]
+
+    def _checked_order(self) -> list[str]:
+        """Instance names in topological order, after checking the
+        netlist is a drivable DAG (one graph build, one sort)."""
         if not self.primary_inputs:
             raise AnalysisError("netlist has no primary inputs")
         graph = self.graph()
-        if not nx.is_directed_acyclic_graph(graph):
+        try:
+            order = list(nx.topological_sort(graph))
+        except nx.NetworkXUnfeasible:
             cycle = nx.find_cycle(graph)
-            raise AnalysisError(f"combinational loop: {cycle}")
+            raise AnalysisError(f"combinational loop: {cycle}") from None
         for inst in self.instances.values():
-            if (inst.input_net not in self.primary_inputs
+            if (not self.is_primary_input(inst.input_net)
                     and self.driver_of(inst.input_net) is None):
                 raise AnalysisError(
                     f"{inst.name}: input net {inst.input_net!r} has no "
                     "driver and is not a primary input")
-
-    def topological_instances(self) -> list[GateInstance]:
-        self.validate()
-        order = nx.topological_sort(self.graph())
-        return [self.instances[name] for name in order]
+        return order

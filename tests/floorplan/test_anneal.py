@@ -5,6 +5,7 @@ sample."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import AnalysisError
 from repro.floorplan import (
     ObjectiveWeights, anneal_floorplan, assign_shifters, default_moves,
     generate_design, pack_sequence_pair,
@@ -20,6 +21,38 @@ def _overlap(a, b) -> bool:
     bx, by, bw, bh = b
     return (ax < bx + bw and bx < ax + aw
             and ay < by + bh and by < ay + ah)
+
+
+#: Block extents: a few repeated values (ties between reaches and
+#: duplicate sizes) mixed with arbitrary floats.
+extents = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 7.5]),
+                    st.floats(min_value=0.5, max_value=500.0))
+
+
+def _longest_paths(gamma_pos, gamma_neg, widths, heights):
+    """O(n^2) packing straight from the sequence-pair relations.
+
+    ``x[b] = max(x[a] + w[a])`` over blocks ``a`` left of ``b`` (before
+    it in both sequences), ``y[b] = max(y[a] + h[a])`` over blocks
+    below it (after it in Gamma+, before it in Gamma-); walking Gamma+
+    forwards (backwards for ``y``) visits every predecessor first.
+    """
+    n = len(gamma_pos)
+    at_pos = {block: i for i, block in enumerate(gamma_pos)}
+    at_neg = {block: i for i, block in enumerate(gamma_neg)}
+    x = [0.0] * n
+    y = [0.0] * n
+    for b in gamma_pos:
+        x[b] = max((x[a] + widths[a] for a in range(n)
+                    if at_pos[a] < at_pos[b] and at_neg[a] < at_neg[b]),
+                   default=0.0)
+    for b in reversed(gamma_pos):
+        y[b] = max((y[a] + heights[a] for a in range(n)
+                    if at_pos[a] > at_pos[b] and at_neg[a] < at_neg[b]),
+                   default=0.0)
+    total_w = max(x[b] + widths[b] for b in range(n))
+    total_h = max(y[b] + heights[b] for b in range(n))
+    return x, y, total_w, total_h
 
 
 def _floorplanned(design_seed: int, anneal_seed: int, blocks: int = 8,
@@ -55,6 +88,23 @@ class TestSequencePair:
             assert y[i] + heights[i] <= total_h + 1e-9
             for j in range(i + 1, n):
                 assert not _overlap(rects[i], rects[j]), (i, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=40))
+    def test_packing_matches_brute_force_longest_path(self, data, n):
+        """The staircase packer equals the O(n^2) longest path from
+        the left-of/below relations, bit for bit."""
+        gamma_pos = data.draw(st.permutations(range(n)))
+        gamma_neg = data.draw(st.permutations(range(n)))
+        widths = data.draw(st.lists(extents, min_size=n, max_size=n))
+        heights = data.draw(st.lists(extents, min_size=n, max_size=n))
+        x, y, total_w, total_h = pack_sequence_pair(
+            gamma_pos, gamma_neg, widths, heights)
+        bx, by, bw, bh = _longest_paths(gamma_pos, gamma_neg, widths,
+                                        heights)
+        assert [v.hex() for v in x] == [v.hex() for v in bx]
+        assert [v.hex() for v in y] == [v.hex() for v in by]
+        assert (total_w.hex(), total_h.hex()) == (bw.hex(), bh.hex())
 
     def test_left_of_relation(self):
         # b0 before b1 in both sequences => b0 strictly left of b1.
@@ -127,6 +177,21 @@ class TestKnobs:
     def test_default_moves_scales_with_blocks(self):
         assert default_moves(10) == 2000
         assert default_moves(1000) == 4000
+
+    def test_negative_moves_rejected(self):
+        design = generate_design(blocks=4, domains=2, seed=0)
+        assignment = assign_shifters(design, "sstvs",
+                                     characterize_leakage=False)
+        with pytest.raises(AnalysisError, match="moves"):
+            anneal_floorplan(design, assignment, seed=0, moves=-1)
+
+    def test_zero_moves_packs_the_initial_pair(self):
+        design = generate_design(blocks=4, domains=2, seed=0)
+        assignment = assign_shifters(design, "sstvs",
+                                     characterize_leakage=False)
+        result = anneal_floorplan(design, assignment, seed=0, moves=0)
+        assert (result.evaluated, result.incumbent_move) == (1, 0)
+        assert len(result.positions) == 4
 
     def test_weights_steer_the_objective(self):
         design = generate_design(blocks=8, domains=3, seed=0)

@@ -72,6 +72,24 @@ class TestErrorPaths:
         assert message.startswith("usage:")
         assert "--workers" in message and repr(value) in message
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--restarts", "0"), ("--restarts", "-1"), ("--moves", "-5"),
+        ("--moves", "many"),
+    ])
+    def test_bad_floorplan_counts_exit_2_with_usage(self, flag, value,
+                                                    capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["floorplan", flag, value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("usage:")
+        assert flag in message and repr(value) in message
+
+    def test_zero_floorplan_moves_parse(self):
+        args = build_parser().parse_args(["floorplan", "--moves", "0",
+                                          "--restarts", "2"])
+        assert (args.moves, args.restarts) == (0, 2)
+
 
 class TestCommands:
     def test_characterize_on_lv22(self, capsys):
