@@ -8,6 +8,14 @@ artifact: the six metrics per (cell, node, corner), plus per
 supply (the lowest VDDI the cell still converts from, found by a
 descending scan at the typical corner).
 
+The campaign is one :class:`ExperimentSpec` on the experiment engine
+(:func:`leaderboard_spec`): each corner entry is a point, and so is
+each (cell, node) min-VDDI scan, whose steps stay sequential inside
+its point because the scan stops at the first failure. With
+``workers > 1`` the points run over a process pool, bitwise identical
+to the serial run; the parent then folds the rows, in cell x corner
+order, into the artifact.
+
 The artifact is a plain dict (schema ``repro-leaderboard-v1``) written
 atomically by :func:`write_leaderboard`; re-running against an
 existing file bumps its ``version`` so trend diffs are first-class.
@@ -19,6 +27,7 @@ leaderboard run with no changes here.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from repro.cells.registry import cell_names, get_cell
@@ -28,10 +37,16 @@ from repro.errors import AnalysisError
 from repro.pdk import CornerPdk
 from repro.pdk.corners import CORNER_SHIFTS
 from repro.pdk.registry import get_node, node_fingerprint, node_names
+from repro.runtime.experiment import (
+    ExperimentPoint, ExperimentSpec, run_experiment,
+)
 from repro.units import format_eng
 
 #: Artifact schema tag.
 LEADERBOARD_SCHEMA = "repro-leaderboard-v1"
+
+#: Experiment name shared by the spec and its result set.
+EXPERIMENT_NAME = "leaderboard"
 
 #: All registered corners, typical first (stable render order).
 DEFAULT_CORNERS = ("tt",) + tuple(
@@ -77,19 +92,53 @@ def _cell_area(cell: str, node_name: str):
     return est.total_area_um2, est.device_count
 
 
-def build_leaderboard(cells=None, nodes=None, corners=None,
-                      plan: StimulusPlan | None = None,
-                      min_vddi_step: float = MIN_VDDI_STEP,
-                      progress=None) -> dict:
-    """Characterize cells x nodes x corners into the artifact dict.
+def _measure(params: tuple):
+    """One leaderboard point; shared by the serial and pool paths.
 
-    Args default to *everything registered*; pass subsets to scope a
-    quick look. ``progress`` is an optional ``(label) -> None`` hook
-    fired before each (cell, node, corner) characterization.
+    ``("entry", cell, node, corner, plan)`` characterizes one corner at
+    the node's canonical pair and returns the six metrics plus
+    ``functional``; ``("scan", cell, node, plan, step)`` runs the cell's
+    whole min-VDDI scan and returns its result.
     """
-    cells = tuple(cells) if cells else cell_names()
-    nodes = tuple(nodes) if nodes else node_names()
-    corners = tuple(corners) if corners else DEFAULT_CORNERS
+    point, cell, node_name, *rest = params
+    node = get_node(node_name)
+    if point == "scan":
+        plan, step = rest
+        return _min_detectable_vddi(cell, node, plan, step)
+    corner, plan = rest
+    vddi, vddo = (float(v) for v in node.default_pair)
+    metrics = characterize(CornerPdk(corner, node=node_name), cell, vddi,
+                           vddo, plan=plan)
+    payload = {field: getattr(metrics, field) for field in METRIC_FIELDS}
+    payload["functional"] = bool(metrics.functional)
+    return payload
+
+
+def _label(index) -> str:
+    """Progress label of a leaderboard point index."""
+    if index[0] == "scan":
+        return f"{index[1]}@{index[2]} min-VDDI scan"
+    return f"{index[1]}@{index[2]}/{index[3]}"
+
+
+def leaderboard_spec(cells=None, nodes=None, corners=None,
+                     plan: StimulusPlan | None = None,
+                     min_vddi_step: float = MIN_VDDI_STEP,
+                     workers: int = 1) -> ExperimentSpec:
+    """Describe a leaderboard campaign declaratively.
+
+    Selectors default to *everything registered*; repeated names are
+    dropped, first occurrence kept. Every (cell, node) min-VDDI scan is
+    one point, listed before the (cell, node, corner) entry points:
+    the scans are the longest tasks, so a pool starts them first.
+    """
+    cells = tuple(dict.fromkeys(cells)) if cells else cell_names()
+    nodes = tuple(dict.fromkeys(nodes)) if nodes else node_names()
+    corners = tuple(dict.fromkeys(corners)) if corners else DEFAULT_CORNERS
+    if not (math.isfinite(min_vddi_step) and min_vddi_step > 0):
+        raise AnalysisError(
+            f"min_vddi_step must be a finite step > 0 V, got "
+            f"{min_vddi_step!r}")
     for corner in corners:
         if corner not in CORNER_SHIFTS:
             raise AnalysisError(
@@ -98,10 +147,47 @@ def build_leaderboard(cells=None, nodes=None, corners=None,
     unknown_cells = [c for c in cells if c not in cell_names()]
     if unknown_cells:
         get_cell(unknown_cells[0])  # raises with the live listing
+    for name in nodes:
+        get_node(name)  # raises with the live listing
 
+    scans = [ExperimentPoint(("scan", cell, name),
+                             ("scan", cell, name, plan, min_vddi_step))
+             for name in nodes for cell in cells]
+    entries = [ExperimentPoint(("entry", cell, name, corner),
+                               ("entry", cell, name, corner, plan))
+               for name in nodes for cell in cells for corner in corners]
+    return ExperimentSpec(
+        name=EXPERIMENT_NAME, measure=_measure, points=scans + entries,
+        stage="characterize", workers=workers,
+        metadata={"experiment": EXPERIMENT_NAME, "cells": list(cells),
+                  "nodes": list(nodes), "corners": list(corners),
+                  "min_vddi_step": min_vddi_step})
+
+
+def build_leaderboard(cells=None, nodes=None, corners=None,
+                      plan: StimulusPlan | None = None,
+                      min_vddi_step: float = MIN_VDDI_STEP,
+                      progress=None, workers: int = 1) -> dict:
+    """Characterize cells x nodes x corners into the artifact dict.
+
+    Args default to *everything registered*; pass subsets to scope a
+    quick look. ``workers > 1`` runs the points over a process pool,
+    bitwise identical to the serial run. ``progress`` is an optional
+    ``(label) -> None`` hook fired as each point completes (quarantined
+    points excepted); like every engine callback, one that raises is
+    warned about once and then suppressed. A corner whose
+    characterization raises becomes an entry with the error text and
+    ``functional: False``. An interrupted run (Ctrl-C, or SIGTERM,
+    which the engine maps onto it) raises ``KeyboardInterrupt`` rather
+    than returning a partial board.
+    """
+    spec = leaderboard_spec(cells, nodes, corners, plan=plan,
+                            min_vddi_step=min_vddi_step, workers=workers)
+    meta = spec.metadata
+    cells, nodes, corners = meta["cells"], meta["nodes"], meta["corners"]
     node_info = {}
     for name in nodes:
-        node = get_node(name)  # raises with the live listing
+        node = get_node(name)
         node_info[name] = {
             "fingerprint": node_fingerprint(name),
             "vddi": float(node.default_pair[0]),
@@ -111,46 +197,43 @@ def build_leaderboard(cells=None, nodes=None, corners=None,
             "description": node.description,
         }
 
+    on_point = (None if progress is None
+                else lambda index, _value: progress(_label(index)))
+    result = run_experiment(spec, progress=on_point)
+    if result.interrupted:
+        raise KeyboardInterrupt
+    rows = {row.index: row for row in result.rows}
+
     entries = []
     summaries = {}
     for name in nodes:
-        node = get_node(name)
-        vddi, vddo = (float(v) for v in node.default_pair)
+        vddi, vddo = node_info[name]["vddi"], node_info[name]["vddo"]
         for cell in cells:
             for corner in corners:
-                if progress is not None:
-                    progress(f"{cell}@{name}/{corner}")
+                row = rows[("entry", cell, name, corner)]
                 entry = {"cell": cell, "node": name, "corner": corner,
                          "vddi": vddi, "vddo": vddo}
-                try:
-                    metrics = characterize(
-                        CornerPdk(corner, node=name), cell, vddi, vddo,
-                        plan=plan)
-                except Exception as exc:
-                    entry["error"] = f"{type(exc).__name__}: {exc}"
-                    entry["functional"] = False
-                else:
-                    for field in METRIC_FIELDS:
-                        entry[field] = getattr(metrics, field)
-                    entry["functional"] = bool(metrics.functional)
+                entry.update(row.value if row.ok
+                             else {"error": row.error, "functional": False})
                 entries.append(entry)
-            if progress is not None:
-                progress(f"{cell}@{name} area / min-VDDI scan")
+            scan = rows[("scan", cell, name)]
+            if not scan.ok:
+                raise AnalysisError(
+                    f"{cell}@{name} min-VDDI scan failed: {scan.error}")
             area, devices = _cell_area(cell, name)
             summaries[f"{cell}@{name}"] = {
                 "cell": cell, "node": name,
                 "area_um2": area, "device_count": devices,
-                "min_detectable_vddi": _min_detectable_vddi(
-                    cell, node, plan, min_vddi_step),
+                "min_detectable_vddi": scan.value,
                 "provenance": get_cell(cell).provenance,
             }
 
     return {
         "schema": LEADERBOARD_SCHEMA,
         "version": 1,
-        "cells": list(cells),
+        "cells": cells,
         "nodes": node_info,
-        "corners": list(corners),
+        "corners": corners,
         "entries": entries,
         "summaries": summaries,
     }

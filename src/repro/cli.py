@@ -14,8 +14,9 @@ Commands map one-to-one onto the library's experiment entry points:
 * ``vtc`` — DC transfer curve / noise margins;
 * ``pvt`` — process-corner x temperature report;
 * ``bench --leaderboard`` — characterize every registered cell x PDK
-  node x corner into LEADERBOARD.json (campaign timing lives in
-  ``python3 benchmarks/perf/run.py``);
+  node x corner into LEADERBOARD.json, one engine point per corner
+  entry and per min-VDDI scan, over ``--workers`` processes (campaign
+  timing lives in ``python3 benchmarks/perf/run.py``);
 * ``floorplan`` — shifter-assignment floorplan campaign: synthesize or
   bridge a multi-voltage design, assign a registered shifter cell to
   every domain crossing per strategy, anneal a sequence-pair
@@ -623,7 +624,8 @@ def cmd_bench(args) -> int:
         print(f"\r  {label:<44s}", end="", flush=True)
 
     board = build_leaderboard(cells=args.cells, nodes=args.nodes,
-                              corners=args.corners, progress=progress)
+                              corners=args.corners, progress=progress,
+                              workers=args.workers)
     print("\r" + " " * 48 + "\r", end="")
     board = write_leaderboard(board, args.out)
     print(render_leaderboard(board))
@@ -1016,6 +1018,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(CORNER_SHIFTS), metavar="corner",
                    help="leaderboard: restrict to these corners "
                         "(default: all)")
+    _add_workers_arg(p, "process-pool width, one point per task; "
+                        "1 runs serially in-process")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="fault-injected solver self-test")

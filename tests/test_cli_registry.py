@@ -13,6 +13,7 @@ from repro.cells.registry import cell_names
 from repro.cli import build_parser, main
 from repro.pdk.corners import CORNER_SHIFTS
 from repro.pdk.registry import node_names
+from repro.runtime.parallel import usable_cpus
 
 
 class TestErrorPaths:
@@ -63,6 +64,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     @pytest.mark.parametrize("argv", [
         ["sweep", "sstvs"], ["mc"], ["floorplan"], ["serve", "--jobs", "j"],
+        ["bench", "--leaderboard"],
     ], ids=lambda argv: argv[0])
     def test_bad_workers_exit_2_with_usage(self, argv, value, capsys):
         with pytest.raises(SystemExit) as err:
@@ -131,9 +133,25 @@ class TestCommands:
             main(["bench", "--help"])
         assert err.value.code == 0
         text = capsys.readouterr().out
-        assert "--leaderboard" in text
-        for gone in ("--runs", "--step", "--check", "--workers"):
+        assert "--leaderboard" in text and "--workers" in text
+        for gone in ("--runs", "--step", "--check"):
             assert gone not in text
+
+    def test_bench_gains_only_the_shared_workers_flag(self):
+        args = build_parser().parse_args(["bench", "--leaderboard"])
+        assert sorted(vars(args)) == [
+            "cells", "command", "corners", "func", "leaderboard", "nodes",
+            "out", "temp", "workers"]
+        assert args.workers == usable_cpus()
+
+    def test_bench_serial_board_is_byte_identical_to_default(self,
+                                                            tmp_path):
+        argv = ["bench", "--leaderboard", "--cells", "inverter",
+                "--nodes", "lv22", "--corners", "ss"]
+        default, serial = tmp_path / "default.json", tmp_path / "serial.json"
+        assert main(argv + ["--out", str(default)]) == 0
+        assert main(argv + ["--workers", "1", "--out", str(serial)]) == 0
+        assert serial.read_bytes() == default.read_bytes()
 
     def test_bench_rejects_unknown_corner(self, capsys):
         with pytest.raises(SystemExit) as err:
