@@ -14,7 +14,6 @@ The package provides, from the bottom up:
   power, leakage, functionality) around :class:`repro.core.LevelShifter`;
 * :mod:`repro.analysis` — the paper's experiments: Monte Carlo tables,
   VDDI x VDDO delay surfaces, temperature validation, functional grid;
-* :mod:`repro.netlist` — SPICE deck parsing/writing;
 * :mod:`repro.layout` — analytical cell-area estimates;
 * :mod:`repro.soc` — the SoC-level routing/feasibility study behind
   the paper's motivation figures.

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.analysis.sweep import SweepGrid
 from repro.core.characterize import quick_delays, quick_delays_batch
 from repro.pdk import Pdk
-from repro.runtime.campaign import SampleFailure
 from repro.runtime.experiment import (
     BatchPointFailure, ExperimentPoint, ExperimentSpec, ResultSet,
     run_experiment,

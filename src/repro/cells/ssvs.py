@@ -27,7 +27,7 @@ the same inverting polarity as the SS-TVS.
 from __future__ import annotations
 
 from repro.cells.inverter import add_inverter
-from repro.pdk.ptm90 import HIGH_VT, LOW_VT
+from repro.pdk.ptm90 import LOW_VT
 
 
 def add_ssvs_puri(circuit, pdk, name: str, inp: str, out: str, vddo: str,

@@ -423,6 +423,15 @@ def cmd_floorplan(args) -> int:
         best_by_strategy, floorplan_spec, leaderboard_leakage,
         run_floorplan_campaign,
     )
+    if not args.verilog:
+        # Reject a synthetic design the generator cannot build before
+        # a run is stored in which every point fails.
+        if args.blocks < 2:
+            args.usage_error(f"--blocks must be at least 2, got "
+                             f"{args.blocks}")
+        if not 2 <= args.domains <= args.blocks:
+            args.usage_error(f"--domains must be in [2, --blocks="
+                             f"{args.blocks}], got {args.domains}")
     store, resume, run_id, cache = _campaign_io(args)
     design = _floorplan_design(args)
     leakage = args.leakage
@@ -845,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", nargs="?", default="sstvs",
                    choices=cell_names(), metavar="kind")
     _add_voltage_args(p)
-    p.add_argument("--runs", type=int, default=25)
+    p.add_argument("--runs", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=20080310)
     _add_pdk_arg(p)
     _add_campaign_args(p)
@@ -959,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat an STA violation as a point failure")
     _add_pdk_arg(p)
     _add_campaign_args(p)
-    p.set_defaults(func=cmd_floorplan)
+    p.set_defaults(func=cmd_floorplan, usage_error=p.error)
 
     p = sub.add_parser("runs", help="list stored experiment runs")
     p.add_argument("--out", default=None, metavar="DIR",
@@ -985,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drain the directory and exit instead of "
                         "polling until SIGTERM")
     _add_workers_arg(p, "concurrent worker processes")
-    p.add_argument("--chunk-size", type=int, default=4,
+    p.add_argument("--chunk-size", type=_positive_int, default=4,
                    help="points per worker chunk")
     p.add_argument("--heartbeat", type=float, default=30.0,
                    help="seconds without worker progress before the "
@@ -1023,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="fault-injected solver self-test")
-    p.add_argument("--runs", type=int, default=6,
+    p.add_argument("--runs", type=_positive_int, default=6,
                    help="smoke-campaign sample count")
     p.add_argument("--cells", action="store_true",
                    help="also smoke-test the cell & PDK registries: "

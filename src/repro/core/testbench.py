@@ -19,7 +19,7 @@ benches, tests and Monte Carlo all share the construction path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.cells import add_inverter
 from repro.cells.registry import (

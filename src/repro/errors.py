@@ -17,13 +17,7 @@ class CircuitError(ReproError):
 
 
 class NetlistError(ReproError):
-    """A SPICE netlist could not be lexed or parsed."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A structural netlist or a numeric value could not be parsed."""
 
 
 class ConvergenceError(ReproError):

@@ -12,7 +12,7 @@ from repro.pdk.variation import VariationSpec, VariedPdk
 from repro.pdk.corners import CornerPdk, CORNER_SHIFTS
 from repro.pdk.registry import (
     DEFAULT_NODE, PdkNode, get_node, make_pdk, node_fingerprint,
-    node_names, register_node, resolve_node,
+    node_names, register_node,
 )
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "node_names",
     "make_pdk",
     "node_fingerprint",
-    "resolve_node",
 ]

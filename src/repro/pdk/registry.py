@@ -125,16 +125,6 @@ def node_fingerprint(name: str = DEFAULT_NODE) -> str:
     return digest[:16]
 
 
-def resolve_node(pdk_or_name) -> str:
-    """Node name for a Pdk instance, a name string, or None (default)."""
-    if pdk_or_name is None:
-        return DEFAULT_NODE
-    if isinstance(pdk_or_name, str):
-        return get_node(pdk_or_name).name
-    node = getattr(pdk_or_name, "node", None)
-    return str(node) if node else DEFAULT_NODE
-
-
 def _register_builtin_nodes() -> None:
     from repro.pdk import lv22, ptm90
 

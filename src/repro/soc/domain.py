@@ -10,7 +10,7 @@ floorplan-level experiments run on.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 

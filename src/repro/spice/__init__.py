@@ -24,7 +24,6 @@ from repro.spice.circuit import Circuit
 from repro.spice.op import OperatingPoint, OpResult
 from repro.spice.transient import Transient, TransientResult
 from repro.spice.dcsweep import DcSweep, DcSweepResult
-from repro.spice.ac import AcAnalysis, AcResult, AcStimulus, log_frequencies
 from repro.spice.waveform import Waveform
 
 __all__ = [
@@ -35,9 +34,5 @@ __all__ = [
     "TransientResult",
     "DcSweep",
     "DcSweepResult",
-    "AcAnalysis",
-    "AcResult",
-    "AcStimulus",
-    "log_frequencies",
     "Waveform",
 ]

@@ -44,7 +44,6 @@ import numpy as np
 from repro.runtime import telemetry
 from repro.spice import mna
 from repro.spice.devices.base import Device
-from repro.spice.devices.controlled import Vccs, Vcvs
 from repro.spice.devices.inductor import Inductor
 from repro.spice.devices.mosfet import Mosfet, ekv_evaluate
 from repro.spice.devices.passive import Capacitor, Resistor
@@ -58,7 +57,7 @@ from repro.spice.integration import (
 #: may override ``stamp`` without updating the entry methods, so any
 #: unknown class downgrades the whole plan to the reference path.
 _TRUSTED_LINEAR = (Resistor, Capacitor, VoltageSource, CurrentSource,
-                   Vcvs, Vccs, Inductor)
+                   Inductor)
 
 #: Cached base matrices per plan; transient runs alternate between a
 #: handful of (method, dt) pairs once the step controller settles, but

@@ -8,13 +8,12 @@ alongside them with derived names.
 
 Hierarchy is handled by construction-time flattening: cell-builder
 functions (see :mod:`repro.cells`) take a circuit, a name prefix, and a
-node mapping, and add prefixed devices directly. The netlist parser's
-``.subckt`` support uses the same mechanism.
+node mapping, and add prefixed devices directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import CircuitError
 from repro.spice.devices.base import Device

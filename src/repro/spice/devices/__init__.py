@@ -3,11 +3,10 @@
 from repro.spice.devices.base import Device, TwoTerminal
 from repro.spice.devices.passive import Resistor, Capacitor
 from repro.spice.devices.sources import (
-    VoltageSource, CurrentSource, Dc, Pulse, Pwl, Sin,
+    VoltageSource, CurrentSource, Dc, Pulse, Pwl,
 )
 from repro.spice.devices.diode import Diode
 from repro.spice.devices.inductor import Inductor
-from repro.spice.devices.controlled import Vccs, Vcvs
 from repro.spice.devices.mosfet import Mosfet, MosfetParams
 
 __all__ = [
@@ -20,11 +19,8 @@ __all__ = [
     "Dc",
     "Pulse",
     "Pwl",
-    "Sin",
     "Diode",
     "Inductor",
-    "Vcvs",
-    "Vccs",
     "Mosfet",
     "MosfetParams",
 ]

@@ -92,15 +92,6 @@ class Inductor(TwoTerminal):
             sys_.add_rhs(br, -veq)
         # DC: no -Req i term -> v(a) - v(b) = 0, an ideal short.
 
-    def stamp_ac(self, matrix, rhs, omega, add, add_rhs) -> None:
-        a, b = self.node_indices
-        br = self.branch_indices[0]
-        add(a, br, 1.0)
-        add(b, br, -1.0)
-        add(br, a, 1.0)
-        add(br, b, -1.0)
-        add(br, br, -1j * omega * self.inductance)
-
     def init_state(self, voltages: Sequence[float]) -> None:
         self._i_prev = (self.ic if self.ic is not None
                         else float(voltages[self.branch_indices[0]]))

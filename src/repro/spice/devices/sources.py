@@ -1,15 +1,13 @@
 """Independent sources and their time-domain waveform shapes.
 
-Waveform shapes (:class:`Dc`, :class:`Pulse`, :class:`Pwl`, :class:`Sin`)
-are small value objects exposing ``value(t)`` and
-``breakpoints(t_stop)``; sources delegate to them. Breakpoints are fed to
-the transient engine so every edge of a pulse/PWL stimulus lands exactly
-on a time point.
+Waveform shapes (:class:`Dc`, :class:`Pulse`, :class:`Pwl`) are small
+value objects exposing ``value(t)`` and ``breakpoints(t_stop)``; sources
+delegate to them. Breakpoints are fed to the transient engine so every
+edge of a pulse/PWL stimulus lands exactly on a time point.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from typing import Sequence
 
@@ -103,39 +101,6 @@ class Pwl:
 
     def breakpoints(self, t_stop: float) -> list[float]:
         return [t for t in self.times if t <= t_stop]
-
-
-class Sin:
-    """SPICE SIN waveform: offset amplitude frequency delay damping."""
-
-    def __init__(self, offset: float, amplitude: float, frequency: float,
-                 delay: float = 0.0, damping: float = 0.0):
-        if frequency <= 0:
-            raise ModelError("sine frequency must be > 0")
-        self.offset, self.amplitude = float(offset), float(amplitude)
-        self.frequency, self.delay = float(frequency), float(delay)
-        self.damping = float(damping)
-
-    def value(self, t: float) -> float:
-        if t < self.delay:
-            return self.offset
-        tau = t - self.delay
-        envelope = math.exp(-self.damping * tau)
-        return self.offset + self.amplitude * envelope * math.sin(
-            2.0 * math.pi * self.frequency * tau)
-
-    def breakpoints(self, t_stop: float) -> list[float]:
-        # A smooth waveform needs no hard breakpoints, but bounding the
-        # step to a fraction of the period is handled by the engine's
-        # hmax; we report quarter-period points for the first few cycles
-        # to help it lock on.
-        quarter = 0.25 / self.frequency
-        points = []
-        t = self.delay
-        while t <= min(t_stop, self.delay + 4.0 / self.frequency):
-            points.append(t)
-            t += quarter
-        return points
 
 
 def _as_shape(dc, shape):

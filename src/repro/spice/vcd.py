@@ -7,8 +7,7 @@ also available for logic-level debugging of the shifter benches.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import AnalysisError
 

@@ -9,7 +9,7 @@ the domain boundary, a receiver chain — with realistic fanout loading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 

@@ -1,4 +1,4 @@
-"""Tests for the inductor and the controlled sources."""
+"""Tests for the inductor."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ModelError
 from repro.spice import Circuit, OperatingPoint, Transient
 from repro.spice.devices import (
-    Capacitor, Inductor, Pulse, Resistor, Vccs, Vcvs, VoltageSource,
+    Capacitor, Inductor, Pulse, Resistor, VoltageSource,
 )
 
 
@@ -72,88 +72,3 @@ class TestInductorTransient:
         res = Transient(ckt, 40e-9).run()
         crossings = res.wave("tank").crossings(0.0)
         assert len(crossings) >= 4, "LC tank failed to ring"
-
-
-class TestVcvs:
-    def test_gain(self):
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("vin", "in", "0", dc=0.1))
-        ckt.add(Vcvs("e1", "out", "0", "in", "0", gain=10.0))
-        ckt.add(Resistor("rl", "out", "0", 1e3))
-        assert OperatingPoint(ckt).run()["out"] == pytest.approx(1.0)
-
-    def test_negative_gain(self):
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("vin", "in", "0", dc=0.5))
-        ckt.add(Vcvs("e1", "out", "0", "in", "0", gain=-2.0))
-        ckt.add(Resistor("rl", "out", "0", 1e3))
-        assert OperatingPoint(ckt).run()["out"] == pytest.approx(-1.0)
-
-    def test_differential_control(self):
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("va", "a", "0", dc=0.7))
-        ckt.add(VoltageSource("vb", "b", "0", dc=0.2))
-        ckt.add(Vcvs("e1", "out", "0", "a", "b", gain=4.0))
-        ckt.add(Resistor("rl", "out", "0", 1e3))
-        assert OperatingPoint(ckt).run()["out"] == pytest.approx(2.0)
-
-    def test_ideal_output_impedance(self):
-        # Output voltage independent of the load.
-        for load in (10.0, 1e6):
-            ckt = Circuit("t")
-            ckt.add(VoltageSource("vin", "in", "0", dc=0.3))
-            ckt.add(Vcvs("e1", "out", "0", "in", "0", gain=3.0))
-            ckt.add(Resistor("rl", "out", "0", load))
-            assert OperatingPoint(ckt).run()["out"] == \
-                pytest.approx(0.9, rel=1e-9)
-
-
-class TestVccs:
-    def test_transconductance(self):
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("vin", "in", "0", dc=0.5))
-        ckt.add(Vccs("g1", "0", "out", "in", "0", gm=1e-3))
-        ckt.add(Resistor("rl", "out", "0", 1e3))
-        # 0.5 mA into 1 kOhm.
-        assert OperatingPoint(ckt).run()["out"] == pytest.approx(0.5,
-                                                                 rel=1e-6)
-
-    def test_sign_convention_matches_nmos(self):
-        # Current pulled out of 'pos': an inverting stage when 'pos'
-        # carries the load, like an NMOS drain.
-        ckt = Circuit("t")
-        ckt.add(VoltageSource("vdd", "vdd", "0", dc=1.0))
-        ckt.add(VoltageSource("vin", "in", "0", dc=0.5))
-        ckt.add(Resistor("rl", "vdd", "out", 1e3))
-        ckt.add(Vccs("g1", "out", "0", "in", "0", gm=1e-3))
-        out = OperatingPoint(ckt).run()["out"]
-        assert out == pytest.approx(0.5, rel=1e-6)  # 1.0 - 0.5mA*1k
-
-
-class TestParserSupport:
-    def test_inductor_parse(self):
-        from repro.netlist import parse_deck
-        ckt = parse_deck("l1 a b 2.2u\n")
-        assert ckt.device("l1").inductance == pytest.approx(2.2e-6)
-
-    def test_vcvs_parse(self):
-        from repro.netlist import parse_deck
-        ckt = parse_deck("e1 out 0 in 0 12\n")
-        assert ckt.device("e1").gain == 12.0
-
-    def test_vccs_parse(self):
-        from repro.netlist import parse_deck
-        ckt = parse_deck("g1 out 0 in 0 2m\n")
-        assert ckt.device("g1").gm == pytest.approx(2e-3)
-
-    def test_roundtrip_all(self):
-        from repro.netlist import parse_deck, write_deck
-        deck = ("l1 a b 1u\ne1 c 0 a b 3\ng1 d 0 a b 1m\n"
-                "r1 a 0 1k\nr2 b 0 1k\nr3 c 0 1k\nr4 d 0 1k\n"
-                "v1 a 0 1\n")
-        ckt = parse_deck(deck)
-        clone = parse_deck(write_deck(ckt), title_line=True)
-        op1 = OperatingPoint(ckt).run()
-        op2 = OperatingPoint(clone).run()
-        for node in ("a", "b", "c", "d"):
-            assert op2[node] == pytest.approx(op1[node], rel=1e-6)

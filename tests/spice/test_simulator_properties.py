@@ -148,13 +148,18 @@ class TestKclAtConvergence:
         """At the converged OP, the supply current equals the PMOS
         channel current (KCL through the output node)."""
         from repro.cells import add_inverter
-        from repro.spice.probes import device_currents
         ckt = Circuit("inv")
         ckt.add(VoltageSource("vdd", "vdd", "0", dc=1.2))
         ckt.add(VoltageSource("vin", "in", "0", dc=0.55))
         add_inverter(ckt, pdk, "g", "in", "out", "vdd")
         op = OperatingPoint(ckt).run()
-        currents = device_currents(ckt, op.x)
+        # Drain-terminal current (positive into the drain); a negative
+        # node index is ground.
+        currents = {
+            device.name: device.drain_current(
+                *(0.0 if i < 0 else float(op.x[i])
+                  for i in device.node_indices))
+            for device in ckt if isinstance(device, Mosfet)}
         # PMOS drain current (into 'out') ~ -(NMOS drain current).
         assert currents["g.mp"] == pytest.approx(-currents["g.mn"],
                                                  rel=1e-3)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ModelError
 from repro.spice import Circuit, OperatingPoint
 from repro.spice.devices import (
-    CurrentSource, Dc, Pulse, Pwl, Resistor, Sin, VoltageSource,
+    CurrentSource, Dc, Pulse, Pwl, Resistor, VoltageSource,
 )
 
 
@@ -83,24 +83,6 @@ class TestPwl:
     def test_breakpoints_limited_to_window(self):
         pwl = Pwl([(0.0, 0.0), (1e-9, 1.0), (9e-9, 0.0)])
         assert pwl.breakpoints(2e-9) == [0.0, 1e-9]
-
-
-class TestSin:
-    def test_offset_before_delay(self):
-        sin = Sin(0.5, 0.2, 1e9, delay=1e-9)
-        assert sin.value(0.5e-9) == 0.5
-
-    def test_quarter_period_peak(self):
-        sin = Sin(0.0, 1.0, 1e9)
-        assert sin.value(0.25e-9) == pytest.approx(1.0, abs=1e-9)
-
-    def test_damping_decays(self):
-        sin = Sin(0.0, 1.0, 1e9, damping=1e9)
-        assert abs(sin.value(1.25e-9)) < 1.0
-
-    def test_bad_frequency(self):
-        with pytest.raises(ModelError):
-            Sin(0.0, 1.0, 0.0)
 
 
 class TestVoltageSource:

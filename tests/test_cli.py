@@ -228,6 +228,36 @@ class TestFloorplanParser:
         assert proc.stdout.strip() == "[]"
 
 
+class TestCountArguments:
+    """Bad counts exit 2 with usage before anything runs, like
+    ``--workers``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--runs", "0"],
+        ["mc", "--runs", "-3"],
+        ["check", "--runs", "0"],
+        ["serve", "--jobs", "jobs", "--chunk-size", "0"],
+    ])
+    def test_parser_rejects_non_positive_count(self, argv):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--blocks", "0"],
+        ["--blocks", "1"],
+        ["--domains", "0"],
+        ["--blocks", "4", "--domains", "5"],
+    ])
+    def test_floorplan_rejects_unbuildable_design(self, argv, tmp_path,
+                                                  capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["floorplan", *argv, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "usage: repro floorplan" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # no run stored
+
+
 class TestCacheServeParser:
     def test_serve_requires_jobs(self):
         with pytest.raises(SystemExit):
