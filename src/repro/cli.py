@@ -54,6 +54,7 @@ the manifest's ``repro-trace-v1`` section (rendered by
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.cells.registry import FLOORPLAN_STRATEGIES, cell_names
@@ -432,6 +433,13 @@ def cmd_floorplan(args) -> int:
         if not 2 <= args.domains <= args.blocks:
             args.usage_error(f"--domains must be in [2, --blocks="
                              f"{args.blocks}], got {args.domains}")
+        if not (math.isfinite(args.crossing_factor)
+                and args.crossing_factor >= 0):
+            args.usage_error(f"--crossing-factor must be finite and "
+                             f">= 0, got {args.crossing_factor}")
+    if not (math.isfinite(args.required) and args.required > 0):
+        args.usage_error(f"--required must be finite and positive, got "
+                         f"{args.required}")
     store, resume, run_id, cache = _campaign_io(args)
     design = _floorplan_design(args)
     leakage = args.leakage

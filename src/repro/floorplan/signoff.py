@@ -26,6 +26,7 @@ Timing libraries come in two flavours:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -283,9 +284,18 @@ def signoff_floorplan(netlist: GateNetlist, paths,
 
     Electrical legality first (:func:`verify_crossing_paths`), then a
     single STA pass; every path's worst arrival is compared against
-    the required time and all misses are reported as violations.
+    the required time and all misses are reported as violations. A
+    design without domain crossings has an empty netlist and passes
+    with no paths timed.
     """
+    if not math.isfinite(required):
+        raise AnalysisError(f"required arrival must be finite, got "
+                            f"{required!r}")
     verify_crossing_paths(netlist, paths)
+    if not netlist.instances:
+        return SignoffReport(ok=True, required=required,
+                             worst_slack=float("inf"), worst_path=None,
+                             violations=(), arrivals={})
     engine = StaEngine(netlist, library, output_load=output_load)
     report = engine.run(input_slew=input_slew)
     arrivals = {}

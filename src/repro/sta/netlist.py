@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import AnalysisError
 
 
@@ -97,34 +95,30 @@ class GateNetlist:
     def is_primary_output(self, net: str) -> bool:
         return net in self._output_set
 
-    def graph(self) -> "nx.DiGraph":
-        """Instance-level DAG (edges follow nets)."""
-        g = nx.DiGraph()
-        for inst in self.instances.values():
-            g.add_node(inst.name)
-        for inst in self.instances.values():
-            for load in self.loads_of(inst.output_net):
-                g.add_edge(inst.name, load.name, net=inst.output_net)
-        return g
-
     def validate(self) -> None:
         """Check the netlist is a drivable DAG."""
-        self._checked_order()
+        self.topological_instances()
 
     def topological_instances(self) -> list[GateInstance]:
-        return [self.instances[name] for name in self._checked_order()]
+        """Instances in topological order, after checking the netlist
+        is a drivable DAG.
 
-    def _checked_order(self) -> list[str]:
-        """Instance names in topological order, after checking the
-        netlist is a drivable DAG (one graph build, one sort)."""
+        Kahn's algorithm over the instance graph (edges follow nets).
+        A single-input cell has at most one driver, so its in-degree is
+        0 or 1 and no edge repeats: the roots are the instances with an
+        undriven input, in insertion order, and each instance's loads
+        join the queue as soon as it is dequeued. That is the
+        generation-by-generation order of networkx's
+        ``topological_sort`` on the same graph.
+        """
         if not self.primary_inputs:
             raise AnalysisError("netlist has no primary inputs")
-        graph = self.graph()
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
-            cycle = nx.find_cycle(graph)
-            raise AnalysisError(f"combinational loop: {cycle}") from None
+        order = [inst for inst in self.instances.values()
+                 if inst.input_net not in self._net_driver]
+        for inst in order:          # the list is the queue
+            order.extend(self._net_loads.get(inst.output_net, ()))
+        if len(order) < len(self.instances):
+            raise AnalysisError(f"combinational loop: {self._loop(order)}")
         for inst in self.instances.values():
             if (not self.is_primary_input(inst.input_net)
                     and self.driver_of(inst.input_net) is None):
@@ -132,3 +126,18 @@ class GateNetlist:
                     f"{inst.name}: input net {inst.input_net!r} has no "
                     "driver and is not a primary input")
         return order
+
+    def _loop(self, reached) -> str:
+        """One loop among the instances a topological sort never
+        reached, as ``a -> b -> ... -> a``. Each of them is driven by
+        another unreached instance, so walking drivers back from any
+        of them closes a loop."""
+        reached = {inst.name for inst in reached}
+        inst = next(inst for inst in self.instances.values()
+                    if inst.name not in reached)
+        walk: dict[str, int] = {}
+        while inst.name not in walk:
+            walk[inst.name] = len(walk)
+            inst = self._net_driver[inst.input_net]
+        loop = list(walk)[walk[inst.name]:][::-1]
+        return " -> ".join(loop + loop[:1])

@@ -2,6 +2,8 @@
 incumbent monotonicity — property-based where the space is cheap to
 sample."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from repro.floorplan import (
     ObjectiveWeights, anneal_floorplan, assign_shifters, default_moves,
     generate_design, pack_sequence_pair,
 )
+from repro.floorplan import anneal
 
 pytestmark = pytest.mark.floorplan
 
@@ -105,6 +108,45 @@ class TestSequencePair:
         assert [v.hex() for v in x] == [v.hex() for v in bx]
         assert [v.hex() for v in y] == [v.hex() for v in by]
         assert (total_w.hex(), total_h.hex()) == (bw.hex(), bh.hex())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=60),
+           st.sampled_from([1, 2, 3, 7, anneal.SNAPSHOT_STRIDE]))
+    def test_incremental_repack_matches_full_packer(self, data, n,
+                                                    stride):
+        """After every move of a random sequence, accepted or undone,
+        the annealer's incrementally packed coordinates and totals are
+        bitwise those of a full pack of the same state."""
+        gamma_pos = data.draw(st.permutations(range(n)))
+        gamma_neg = data.draw(st.permutations(range(n)))
+        widths = data.draw(st.lists(extents, min_size=n, max_size=n))
+        heights = data.draw(st.lists(extents, min_size=n, max_size=n))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+        moves = data.draw(st.lists(
+            st.tuples(st.sampled_from(range(4)), pair, st.booleans()),
+            max_size=40))
+
+        def assert_matches_full_pack(state):
+            x, y = state.placement()
+            full = pack_sequence_pair(state.gamma_pos, state.gamma_neg,
+                                      state.widths, state.heights)
+            assert [v.hex() for v in x] == [v.hex() for v in full[0]]
+            assert [v.hex() for v in y] == [v.hex() for v in full[1]]
+            assert (state.x.total.hex(), state.y.total.hex()) == \
+                (full[2].hex(), full[3].hex())
+
+        with mock.patch.object(anneal, "SNAPSHOT_STRIDE", stride):
+            state = anneal._SequencePair(list(gamma_pos),
+                                         list(gamma_neg), list(widths),
+                                         list(heights))
+            assert_matches_full_pack(state)
+            for kind, (i, offset), keep in moves:
+                j = (i + 1 + offset) % n        # as the annealer draws
+                state.move(kind, i, j)
+                assert_matches_full_pack(state)
+                if not keep:
+                    state.undo()
+                    assert_matches_full_pack(state)
 
     def test_left_of_relation(self):
         # b0 before b1 in both sequences => b0 strictly left of b1.

@@ -81,6 +81,25 @@ class TestPositiveControl:
         report = signoff_floorplan(netlist, paths, library, REQUIRED)
         assert "MET" in report.summary()
 
+    def test_design_without_crossings_signs_off(self):
+        design = generate_design(blocks=4, domains=2, seed=0)
+        assignment = assign_shifters(design, "sstvs",
+                                     characterize_leakage=False)
+        assert assignment.crossings == ()
+        netlist, paths = build_crossing_netlist(design, assignment)
+        report = signoff_floorplan(netlist, paths,
+                                   build_timing_library(design, assignment),
+                                   REQUIRED)
+        assert report.ok and report.violations == ()
+        assert report.arrivals == {} and report.worst_path is None
+
+    @pytest.mark.parametrize("required", [float("nan"), float("inf"),
+                                          float("-inf")])
+    def test_non_finite_required_rejected(self, floorplan, required):
+        _, _, netlist, paths, library = floorplan
+        with pytest.raises(AnalysisError, match="required"):
+            signoff_floorplan(netlist, paths, library, required)
+
 
 class TestSlowedArcFlipsVerdict:
     def test_derated_shifter_becomes_a_reported_violation(

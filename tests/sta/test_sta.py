@@ -69,7 +69,8 @@ class TestNetlistStructure:
         nl.add_primary_input("a")
         nl.add_instance("u0", "fast", "x", "y")
         nl.add_instance("u1", "fast", "y", "x")
-        with pytest.raises(AnalysisError, match="loop"):
+        with pytest.raises(AnalysisError,
+                           match=r"^combinational loop: u1 -> u0 -> u1$"):
             nl.validate()
 
     def test_undriven_net_detected(self):

@@ -208,8 +208,9 @@ class TestFloorplanParser:
         assert err.value.code == 2
 
     def test_parser_skips_floorplan_and_networkx_imports(self):
-        """Building the parser must not pay for the floorplanner (and
-        the networkx it pulls in) on commands that never floorplan."""
+        """Building the parser must not pay for the floorplanner on
+        commands that never floorplan, nor import networkx, which the
+        package no longer depends on."""
         import os
         import subprocess
         import sys
@@ -256,6 +257,40 @@ class TestCountArguments:
         assert err.value.code == 2
         assert "usage: repro floorplan" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())  # no run stored
+
+    @pytest.mark.parametrize("argv", [
+        ["--required", "nan"],
+        ["--required", "inf"],
+        ["--required", "0"],
+        ["--required", "-1"],
+        ["--crossing-factor", "nan"],
+        ["--crossing-factor", "inf"],
+        ["--crossing-factor", "-0.5"],
+    ])
+    def test_floorplan_rejects_bad_float(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["floorplan", *argv, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "usage: repro floorplan" in message and argv[0] in message
+        assert not any(tmp_path.iterdir())  # no run stored
+
+    def test_floorplan_without_crossings_signs_off(self, tmp_path,
+                                                   capsys):
+        """Four blocks over two domains generate no domain crossing:
+        every strategy signs off with nothing to time."""
+        from repro.runtime.experiment import ArtifactStore
+        code = main(["floorplan", "--blocks", "4", "--domains", "2",
+                     "--moves", "20", "--workers", "1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        run_id = _stored_run_id(capsys.readouterr().out)
+        rows = ArtifactStore(tmp_path).load(run_id).rows
+        assert [row.ok for row in rows] == [True] * 3
+        for row in rows:
+            assert row.value["crossings"] == 0
+            assert row.value["signoff_ok"] is True
+            assert row.value["violations"] == 0
 
 
 class TestCacheServeParser:
