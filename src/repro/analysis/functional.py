@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.sweep import SweepGrid
-from repro.core.characterize import quick_delays, quick_delays_batch
+from repro.analysis.sweep import _batch_measure as sweep_batch_measure
+from repro.core.characterize import quick_delays
 from repro.pdk import Pdk
 from repro.runtime.experiment import (
     BatchPointFailure, ExperimentPoint, ExperimentSpec, ResultSet,
@@ -70,10 +71,8 @@ def _measure(params: tuple) -> bool:
 
 def _batch_measure(params_list: list) -> list:
     """Validate many (VDDI, VDDO) pairs as SPMD lanes in one call."""
-    lanes = [(pdk, kind, vddi, vddo, 3.0e-9, 2.5e-9, sizing)
-             for vddi, vddo, kind, pdk, sizing in params_list]
     return [q if isinstance(q, BatchPointFailure) else bool(q.functional)
-            for q in quick_delays_batch(lanes)]
+            for q in sweep_batch_measure(params_list)]
 
 
 def functional_spec(kind: str, grid: SweepGrid | None = None,
@@ -133,12 +132,12 @@ def validate_functionality(kind: str, grid: SweepGrid | None = None,
                            cache=None) -> FunctionalReport:
     """Check correct level conversion at every grid point.
 
-    ``workers > 1`` distributes pairs over a process pool;
-    ``backend="batched"`` stacks pairs into SPMD lanes instead (and
-    with ``workers > 1`` runs sharded-batched). The report is identical
-    to a serial run either way (rows come back in row-major grid order,
-    and batched lane waveforms are bitwise the serial ones);
-    ``solver`` picks the linear kernel without entering the cache key.
+    Pairs run as batched SPMD lanes, and ``workers > 1`` shards them
+    over a process pool; ``backend="serial"`` validates one pair at a
+    time in-process instead. The report is identical either way (rows
+    come back in row-major grid order, and batched lane waveforms are
+    bitwise the serial ones); ``solver`` picks the linear kernel
+    without entering the cache key.
     """
     spec = functional_spec(kind, grid, pdk=pdk, sizing=sizing, workers=workers,
                            backend=backend, batch_width=batch_width,

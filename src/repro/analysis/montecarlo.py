@@ -66,16 +66,17 @@ class MonteCarloConfig:
     #: with a fault plan are forced serial (plans count firings in
     #: mutable in-process state).
     workers: int = 1
-    #: Execution backend: None measures one sample per task (pooled
-    #: when workers > 1); "serial" stays in-process; "batched" stacks
-    #: samples into SPMD lanes (see :mod:`repro.spice.batch`), and
-    #: combined with workers > 1 runs sharded-batched (one lane group
-    #: per pool task).
+    #: Execution backend: None and "batched" stack samples into SPMD
+    #: lanes (see :mod:`repro.spice.batch`), and with workers > 1 run
+    #: sharded-batched (one lane group per pool task); "serial"
+    #: characterizes one sample at a time in-process. Traced and
+    #: fault-plan campaigns measure per sample whatever the backend.
     backend: str | None = None
-    #: Samples per batched lane group (ignored off the batched
-    #: backend). 128 keeps LAPACK calls amortized over enough lanes
-    #: without letting lane divergence strand the stack (measured on
-    #: a 100-sample sstvs Monte Carlo: 128 beats 32 by ~2.3x).
+    #: Most samples per batched lane group (ignored off the batched
+    #: path; smaller when the runs split evenly over the workers).
+    #: 128 keeps LAPACK calls amortized over enough lanes without
+    #: letting lane divergence strand the stack (measured on a
+    #: 100-sample sstvs Monte Carlo: 128 beats 32 by ~2.3x).
     batch_width: int = 128
     #: Linear-solve kernel: "dense", "sparse" (pattern-reuse LU), or
     #: "auto" (by MNA size); None keeps the ambient default ("auto").

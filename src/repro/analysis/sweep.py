@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.characterize import quick_delays
+from repro.core.characterize import quick_delays, quick_delays_batch
 from repro.errors import AnalysisError
 from repro.pdk import Pdk
 from repro.runtime.campaign import SampleFailure, failure_summary
@@ -114,6 +114,19 @@ def _measure(params: tuple):
     return quick_delays(pdk, kind, vddi, vddo, sizing=sizing)
 
 
+def _batch_measure(params_list: list) -> list:
+    """Simulate many grid cells as SPMD lanes in one call.
+
+    Each lane is :func:`quick_delays` at its default stimulus, and
+    batched lane waveforms are bitwise the serial ones, so every entry
+    is the :class:`QuickDelays` :func:`_measure` would return.
+    """
+    return quick_delays_batch([(pdk, kind, vddi, vddo, 3.0e-9, 2.5e-9,
+                                sizing)
+                               for vddi, vddo, kind, pdk, sizing
+                               in params_list])
+
+
 def sweep_spec(kind: str, grid: SweepGrid | None = None,
                pdk: Pdk | None = None, sizing=None,
                workers: int = 1) -> ExperimentSpec:
@@ -127,6 +140,7 @@ def sweep_spec(kind: str, grid: SweepGrid | None = None,
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
         stage="quick_delays", codec="quick_delays", workers=workers,
+        batch_measure=_batch_measure,
         metadata={"experiment": "sweep", "kind": kind,
                   "vddi_values": [float(v) for v in grid.vddi_values],
                   "vddo_values": [float(v) for v in grid.vddo_values],
@@ -175,8 +189,9 @@ def sweep_delay_surface(kind: str, grid: SweepGrid | None = None,
                         cache=None) -> DelaySurface:
     """Run :func:`quick_delays` over the grid; returns the surfaces.
 
-    ``workers > 1`` distributes grid cells over a process pool; cell
-    results are identical to a serial run, but ``progress`` fires in
+    Cells run as batched SPMD lanes, and ``workers > 1`` shards them
+    over a process pool; cell results are bitwise those of
+    :func:`quick_delays` point by point, but ``progress`` fires in
     completion order (with the cell indices attached) rather than
     row-major order. ``store`` persists the run; ``resume`` accepts a
     result set reloaded from the artifact store and fills in only the

@@ -82,13 +82,13 @@ def _add_pdk_arg(parser) -> None:
 def _add_backend_arg(parser) -> None:
     parser.add_argument("--backend", default=None,
                         choices=("serial", "batched"),
-                        help="execution backend (default: one point "
-                             "per task, pooled when --workers > 1; "
-                             "'serial' stays in-process; 'batched' "
-                             "stacks same-topology points into SPMD "
-                             "lanes, and with --workers > 1 shards "
-                             "lane groups over the pool — see README "
-                             "Performance)")
+                        help="execution backend (default and "
+                             "'batched': same-topology points run as "
+                             "SPMD lanes, with lane groups sharded "
+                             "over the pool when --workers > 1; "
+                             "'serial' measures one point at a time "
+                             "in-process; --trace keeps one point per "
+                             "task — see README Performance)")
     parser.add_argument("--solver", default=None,
                         choices=("auto", "dense", "sparse"),
                         help="linear-solve kernel (default auto: dense "
@@ -123,8 +123,8 @@ def _add_workers_arg(parser, help_text: str) -> None:
 
 def _add_campaign_args(parser) -> None:
     """The shared campaign flags: --workers / --out / --resume / --trace."""
-    _add_workers_arg(parser, "process-pool width, one point per task; "
-                             "1 runs serially in-process")
+    _add_workers_arg(parser, "process-pool width, one point or lane "
+                             "group per task; 1 runs in-process")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="artifact-store root; persists the run as "
                              "DIR/<run-id>/ with a provenance manifest")
@@ -480,8 +480,9 @@ def cmd_floorplan(args) -> int:
               f"{payload['placement_digest'][:12]})")
     if "sstvs" in best and "cvs" in best:
         ratio = best["cvs"]["cost"] / best["sstvs"]["cost"]
-        print(f"  sstvs vs cvs objective: {ratio:.3f}x "
-              f"({'sstvs wins' if ratio > 1 else 'cvs wins'} — CVS "
+        verdict = ("tie" if ratio == 1 else
+                   "sstvs wins" if ratio > 1 else "cvs wins")
+        print(f"  sstvs vs cvs objective: {ratio:.3f}x ({verdict} — CVS "
               f"pays {best['cvs']['rail_length']:.0f} um of extra "
               f"supply rail)")
     if result.interrupted:

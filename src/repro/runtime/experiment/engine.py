@@ -7,11 +7,19 @@ distribution, :class:`repro.runtime.faults.FaultPlan` for deterministic
 fault injection, and campaign quarantine — so every driver gets, for
 free:
 
-* **workers** — ``spec.workers > 1`` distributes points over a process
-  pool, one task per point (one lane group per task on the batched
-  backend), so an idle worker always takes the next pending task;
-  results are bitwise identical to a serial run because the
-  measurement derives everything from its point params.
+* **lanes by default** — a spec with a ``batch_measure`` runs its
+  points as SPMD lanes (see :mod:`repro.spice.batch`) unless it names
+  the ``"serial"`` backend, is traced, leaves the backend implicit
+  under an ambient collecting tracer, or carries a fault plan; those
+  measure one point at a time. Batched lanes are bitwise the serial
+  points, so the choice moves only the wall time.
+* **workers** — ``spec.workers > 1`` distributes chunks over a process
+  pool: one point per task on the per-point path, and on the lane path
+  ``min(batch_width, ceil(pending / workers))`` points per task, so a
+  small campaign still spreads over every worker. An idle worker
+  always takes the next pending task; results are bitwise identical
+  to a serial run because the measurement derives everything from its
+  point params.
 * **quarantine** — a point whose measurement raises is recorded as an
   ``err`` row (with stage and error text) instead of aborting, with an
   optional ``max_failures`` abort threshold.
@@ -38,12 +46,13 @@ free:
   (which send SIGTERM, not SIGINT) never lose completed work.
 
 Every point runs through one worker, :func:`_chunk_worker`, over
-chunks of ``(indices, params_list)``: a whole lane group per call on
-the batched backend, one point per chunk otherwise. The bookkeeping
-around it — resume carry-over, cache lookup and store, quarantine,
-progress isolation, the SIGTERM scope, trace aggregation and
-persistence — lives in :class:`_Campaign`, which the supervised
-:class:`~repro.runtime.service.CampaignService` reuses unchanged.
+chunks of ``(indices, params_list)`` cut by :func:`plan_chunks`: a
+whole lane group per call on the lane path, one point per chunk
+otherwise. The bookkeeping around it — resume carry-over, cache
+lookup and store, quarantine, progress isolation, the SIGTERM scope,
+trace aggregation and persistence — lives in :class:`_Campaign`,
+which the supervised :class:`~repro.runtime.service.CampaignService`
+reuses unchanged.
 
 Fault-injection campaigns run serially regardless of ``workers``: plans
 count firings in mutable in-process state that a pool cannot share.
@@ -169,6 +178,22 @@ def _chunk_worker(task: tuple, context: tuple):
     outcomes = [_measure_point(index, params, context)
                 for index, params in zip(indices, params_list)]
     return (outcomes, evicted, _stats_delta(before))
+
+
+def plan_chunks(pending: list, width: int, workers: int) -> list:
+    """Split ``pending`` into consecutive chunks, one pool task each.
+
+    A chunk holds ``min(width, ceil(len(pending) / workers))`` points,
+    so a campaign smaller than ``workers * width`` spreads evenly over
+    every worker instead of filling one full-width lane group and
+    leaving the others idle. Lane width changes no bits, only how the
+    work is shared out. ``width=1`` is the per-point plan.
+    """
+    if not pending:
+        return []
+    size = min(width, -(-len(pending) // workers))
+    return [pending[start:start + size]
+            for start in range(0, len(pending), size)]
 
 
 class _Campaign:
@@ -373,22 +398,29 @@ def run_experiment(spec: ExperimentSpec, *, progress=None, resume=None,
     pending = campaign.lookup(as_cache(cache) if spec.faults is None
                               else None)
 
-    # One dispatch decision. SPMD lanes (whole chunks through one
-    # batch_measure call, sharded one lane group per pool task when
-    # workers > 1) only on the batched backend of an untraced,
-    # fault-free campaign: traced campaigns stay per-point so traces
-    # aggregate exactly like a serial run. Fault plans count firings
-    # in mutable in-process state and scope the ambient plan per
-    # point, both invisible across a pool boundary, so they run
-    # in-process; so does an explicit "serial" backend, whatever
-    # ``workers`` says (the CLI defaults it to every CPU).
-    batched = (spec.backend == "batched" and trace_mode is None
-               and spec.faults is None)
-    width = spec.batch_width if batched else 1
-    workers = (1 if spec.backend == "serial" or spec.faults is not None
-               else spec.workers)
-    chunks = [pending[start:start + width]
-              for start in range(0, len(pending), width)]
+    # One dispatch decision. A spec with a batch_measure runs SPMD
+    # lanes (whole chunks through one batch_measure call, sharded over
+    # the pool when workers > 1) unless
+    # - it names the "serial" backend;
+    # - it is traced, so traces aggregate exactly like a serial run;
+    # - it leaves the backend implicit under an ambient collecting
+    #   tracer (a profiler around the whole run), so that tracer counts
+    #   the per-point kernel; a spec naming "batched" still runs lanes;
+    # - it carries a fault plan: plans count firings in mutable
+    #   in-process state and scope the ambient plan per point, both
+    #   invisible across a pool boundary.
+    # Fault plans and the "serial" backend also run in-process,
+    # whatever ``workers`` says (spec.pool_workers; the CLI defaults
+    # workers to every CPU).
+    profiled = isinstance(telemetry.active_tracer(),
+                          telemetry.CollectingTracer)
+    batched = (spec.batch_measure is not None and trace_mode is None
+               and spec.faults is None
+               and (spec.backend == "batched"
+                    or (spec.backend is None and not profiled)))
+    workers = spec.pool_workers
+    chunks = plan_chunks(pending, spec.batch_width if batched else 1,
+                         workers)
     tasks = [(tuple(point.index for point in chunk),
               [point.params for point in chunk]) for chunk in chunks]
     context = (spec.measure, spec.batch_measure if batched else None,

@@ -38,8 +38,9 @@ from repro.spice.sparse import validate_solver
 #: at a time in-process whatever ``workers`` says; ``batched`` hands
 #: whole chunks of points to a vectorized ``batch_measure`` (SPMD
 #: lanes; see :mod:`repro.spice.batch`). A spec naming neither
-#: (``backend=None``) measures one point per task, over a process pool
-#: when ``workers > 1``.
+#: (``backend=None``) runs batched when it has a ``batch_measure`` and
+#: one point per task otherwise, over a process pool when
+#: ``workers > 1``.
 BACKENDS = ("serial", "batched")
 
 
@@ -91,7 +92,8 @@ class ExperimentSpec:
         codec: name of the payload codec used when the result set is
             persisted (see :mod:`repro.runtime.experiment.resultset`).
         workers: process-pool width; 1 (the library default) runs
-            serially in-process. The pool takes one point per task.
+            serially in-process. The pool takes one point per task, or
+            one lane group per task on the batched path.
         faults: optional deterministic fault plan; forces serial
             execution because plans count firings in mutable in-process
             state.
@@ -111,14 +113,18 @@ class ExperimentSpec:
             (the CLI ``--trace``/``--profile`` flags). Traces are
             aggregated into the result set's ``repro-trace-v1`` section.
         backend: execution backend, one of :data:`BACKENDS`; None
-            (default) measures one point per task, over a process pool
-            when ``workers > 1``; ``"serial"`` stays in-process
-            whatever ``workers`` says.
+            (default) is ``"batched"`` when the spec has a
+            ``batch_measure`` and one point per task otherwise, over a
+            process pool when ``workers > 1``; ``"serial"`` stays
+            in-process whatever ``workers`` says.
             ``"batched"`` requires ``batch_measure``; combined with
             ``workers > 1`` it runs *sharded-batched* — points are
             chunked into per-worker lane groups, each pool worker
             drives the SPMD backend on its shard, and chunk eviction /
-            quarantine / resume behave exactly as in-process.
+            quarantine / resume behave exactly as in-process. Traced
+            and fault-plan campaigns measure per point whatever the
+            backend; so does the None default under an ambient
+            collecting tracer.
         batch_measure: module-level function
             ``batch_measure(params_list) -> values`` evaluating many
             points in one vectorized call; one returned entry per
@@ -126,8 +132,9 @@ class ExperimentSpec:
             that point. If the whole call raises, the engine falls back
             to per-point ``measure`` for that chunk — eviction to
             serial with a logged reason, never a lost chunk.
-        batch_width: points per ``batch_measure`` call (lane count);
-            with ``workers > 1`` also the shard granularity.
+        batch_width: most points per ``batch_measure`` call (lane
+            count); with ``workers > 1`` a campaign smaller than
+            ``workers * batch_width`` splits evenly over the workers.
         solver: linear-solve kernel for every measurement in this
             campaign: "dense", "sparse" (pattern-reuse LU), or "auto"
             (by MNA size); None keeps the ambient default ("auto").
@@ -152,6 +159,14 @@ class ExperimentSpec:
     batch_width: int = 128
     solver: str | None = None
 
+    @property
+    def pool_workers(self) -> int:
+        """Processes the engine spreads this campaign over:
+        ``workers``, except 1 for the ``"serial"`` backend and for a
+        fault plan (plans count firings in in-process state)."""
+        return (1 if self.backend == "serial" or self.faults is not None
+                else self.workers)
+
     def validate(self) -> None:
         if self.workers < 1:
             raise AnalysisError("workers must be >= 1")
@@ -169,13 +184,13 @@ class ExperimentSpec:
                     f"lane groups (see repro.spice.batch); drivers "
                     f"without one can only run backend='serial' or "
                     f"None.")
-            if self.workers > 1 and "<locals>" in getattr(
-                    self.batch_measure, "__qualname__", ""):
-                raise AnalysisError(
-                    f"experiment {self.name!r}: batch_measure must be "
-                    f"a module-level function to run sharded-batched "
-                    f"(workers > 1 ships it to pool workers by pickled "
-                    f"reference)")
+        if self.pool_workers > 1 and "<locals>" in getattr(
+                self.batch_measure, "__qualname__", ""):
+            raise AnalysisError(
+                f"experiment {self.name!r}: batch_measure must be a "
+                f"module-level function to run sharded-batched "
+                f"(workers > 1 ships it to pool workers by pickled "
+                f"reference)")
         if self.batch_width < 1:
             raise AnalysisError("batch_width must be >= 1")
         if self.solver is not None:

@@ -19,17 +19,23 @@ into *lanes* of 3-D ndarrays and drives them together:
   straggler never costs the finished lanes anything and a diverging
   lane cannot poison its neighbors (each lane occupies its own matrix
   block; LAPACK factorizes the blocks independently).
-* :meth:`LaneGroup.solve_dc` evicts lanes that plain batched Newton
-  cannot crack to the full serial retry ladder
+* :meth:`LaneGroup.solve_dc` sends lanes that plain batched Newton
+  cannot crack down the RetryPolicy ladder. Untraced runs without a
+  fault plan or a wall-clock/iteration budget replay that ladder
+  batched, one lane-masked Newton call per gmin or source-ramp rung,
+  landing each lane bitwise where the serial ladder would; otherwise
+  lanes are evicted one at a time to the serial ladder
   (:func:`~repro.spice.newton.solve_dc_report` with the lane's own
-  workspace) — the RetryPolicy fallback stays per-lane and serial,
-  exactly as robust as before.
+  workspace), exactly as robust as before.
 * :class:`BatchTransient` marches all lanes with *per-lane* adaptive
   timesteps: each lane keeps its own t/h/breakpoint/halving state and
   the group solves one batched Newton per super-step over whatever
   (t_i, h_i, method_i) each lane wants next. A lane that stalls is
   marked dead (the serial engine would raise
   :class:`~repro.errors.ConvergenceError`) without stopping the rest.
+  Each lane's accepted ``(t, x)`` rows go into preallocated float64
+  history blocks and become its exact-size ``times``/``states`` arrays
+  once, when the run ends.
 
 **Equivalence contract.** On the fixed-order path — every lane taking
 the same decisions it would take alone — the batched backend is
@@ -117,12 +123,48 @@ class BatchNewtonResult:
     last_dv: np.ndarray = None
 
 
+#: Rows per preallocated block of a lane's transient history.
+HISTORY_BLOCK = 256
+
+
+class _LaneHistory:
+    """One lane's accepted ``(t, x)`` rows in preallocated float64
+    blocks of :data:`HISTORY_BLOCK` rows, so a step costs one row of
+    floats rather than a fresh ndarray per state."""
+
+    __slots__ = ("_size", "_rows", "_blocks", "_used")
+
+    def __init__(self, size: int):
+        self._size = size
+        self._rows = HISTORY_BLOCK
+        self._blocks: list = []  # (times (B,), states (B, size)) pairs
+        self._used = self._rows  # rows filled in the last block
+
+    def append(self, t: float, x: np.ndarray) -> None:
+        if self._used == self._rows:
+            self._blocks.append((np.empty(self._rows),
+                                 np.empty((self._rows, self._size))))
+            self._used = 0
+        times, states = self._blocks[-1]
+        times[self._used] = t
+        states[self._used] = x
+        self._used += 1
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as exact-size ``(times, states)`` arrays; the blocks
+        are released, so only one lane ever holds both copies."""
+        blocks, self._blocks = self._blocks, []
+        times, states = blocks.pop()
+        blocks.append((times[:self._used], states[:self._used]))
+        return (np.concatenate([t for t, _ in blocks]),
+                np.concatenate([x for _, x in blocks]))
+
+
 @dataclass
 class _LaneMarch:
     """Per-lane transient bookkeeping (hot state lives in arrays)."""
 
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    history: _LaneHistory
     report: TransientReport = field(default_factory=TransientReport)
     error: str | None = None
 
@@ -1077,7 +1119,8 @@ class BatchTransient:
         # head and accept/reject bookkeeping run vectorized over the
         # active set; per lane the arithmetic (and hence every float
         # decision) is exactly the serial engine's.
-        marches: list = [_LaneMarch() for _ in range(nc)]
+        marches: list = [_LaneMarch(_LaneHistory(group.size))
+                         for _ in range(nc)]
         t_stop_a = np.asarray(self.t_stops, dtype=float)
         h_max_a = np.empty(nc, dtype=float)
         h_min_a = np.empty(nc, dtype=float)
@@ -1121,8 +1164,7 @@ class BatchTransient:
         if live.size:
             group.init_state_lanes(live, X[live])
         for k in live:
-            marches[k].times.append(0.0)
-            marches[k].states.append(X[k].copy())
+            marches[k].history.append(0.0, X[k])
 
         # Hot per-lane step-control state.
         dead = np.asarray([m.error is not None for m in marches])
@@ -1239,8 +1281,7 @@ class BatchTransient:
                     ids, X[ids], [integrators[p] for p in acc])
                 for pos, k in zip(acc, ids):
                     m = marches[k]
-                    m.times.append(t[k])
-                    m.states.append(res.x[pos].copy())
+                    m.history.append(t[k], res.x[pos])
                     m.report.steps_accepted += 1
                     if tracer is not None:
                         tracer.count("batch.tran.steps_accepted")
@@ -1253,9 +1294,8 @@ class BatchTransient:
                 errors.append(m.error)
                 continue
             group.sync_state_lane(k)
-            lanes.append(TransientResult(group.circuits[k],
-                                         np.asarray(m.times),
-                                         np.asarray(m.states),
+            times, states = m.history.arrays()
+            lanes.append(TransientResult(group.circuits[k], times, states,
                                          report=m.report))
             errors.append(None)
         return BatchTransientResult(lanes, errors)

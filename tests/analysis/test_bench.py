@@ -16,17 +16,25 @@ from repro.analysis.bench import (
 )
 from repro.core import StimulusPlan
 from repro.core.metrics import METRIC_FIELDS
+from repro.runtime import telemetry
 from repro.spice.newton import reset_solve_stats, solve_stats
 
 pytestmark = pytest.mark.bench
 
 BACKENDS = {
-    "serial": {},
+    "serial": {"backend": "serial"},
+    # The default: lanes, split evenly over the two workers.
     "pool": {"workers": 2},
+    # Traced (see TRACED), so one sample per pool task.
+    "pool_per_point": {"workers": 2},
     "batched": {"backend": "batched", "batch_width": 2},
     "sharded_batched": {"backend": "batched", "workers": 2,
                         "batch_width": 2},
 }
+
+#: Campaigns run under the campaign trace mode, which keeps them on the
+#: per-point path.
+TRACED = {"pool_per_point"}
 
 
 def _bits(result):
@@ -44,7 +52,12 @@ def suite():
     for name, knobs in BACKENDS.items():
         reset_solve_stats()
         config = MonteCarloConfig(runs=4, seed=99, plan=plan, **knobs)
-        result = run_monte_carlo("sstvs", 0.8, 1.2, config)
+        telemetry.set_campaign_trace_mode(
+            "collect" if name in TRACED else None)
+        try:
+            result = run_monte_carlo("sstvs", 0.8, 1.2, config)
+        finally:
+            telemetry.set_campaign_trace_mode(None)
         campaigns[name] = (result, solve_stats())
     return campaigns
 
@@ -62,9 +75,12 @@ def test_suite_record_shape(suite):
         assert stats["solves"] > 0
     # Workers measure their counter deltas in-process and ship them
     # home, so a sharded campaign reports exactly its in-process twin's
-    # work. Batched and serial count lane work differently, so only
-    # same-kernel pairs are compared.
-    assert suite["pool"][1] == suite["serial"][1]
+    # work (all three lane campaigns run two lane groups of two; the
+    # per-point pool runs serial's points). Batched and serial count
+    # lane work differently, so only same-kernel campaigns are
+    # compared.
+    assert suite["pool_per_point"][1] == suite["serial"][1]
+    assert suite["pool"][1] == suite["batched"][1]
     assert suite["sharded_batched"][1] == suite["batched"][1]
     # Constant-work machine price, stamped into recorded baselines.
     assert machine_calibration(repeats=1)["lapack_fixed_work_s"] > 0
@@ -72,6 +88,10 @@ def test_suite_record_shape(suite):
 
 def test_parallel_identical_to_serial(suite):
     _assert_identical_to_serial(suite, "pool")
+
+
+def test_parallel_per_point_identical_to_serial(suite):
+    _assert_identical_to_serial(suite, "pool_per_point")
 
 
 def test_batched_identical_to_serial(suite):

@@ -1,8 +1,9 @@
 """Fault-tolerant Monte Carlo: quarantine, callback isolation, resume.
 
-The 200-sample campaigns stub out ``characterize`` (the machinery under
-test is the campaign runtime, not the device physics); a small
-real-solver campaign lives in the CLI ``check`` self-test.
+The 200-sample campaigns stub out ``characterize`` and its lane-group
+twin ``characterize_batch`` (the machinery under test is the campaign
+runtime, not the device physics); a small real-solver campaign lives
+in the CLI ``check`` self-test.
 """
 
 import warnings
@@ -32,9 +33,37 @@ def fake_characterize(pdk, kind, vddi, vddo, plan=None, sizing=None):
                           functional=True)
 
 
+def fake_characterize_batch(lanes):
+    """Lane-group stand-in: :func:`fake_characterize` on every lane."""
+    return [fake_characterize(pdk, kind, vddi, vddo, plan=plan,
+                              sizing=sizing)
+            for pdk, kind, vddi, vddo, plan, _, sizing, _ in lanes]
+
+
+def refused_lane_group(lanes):
+    """A lane group that raises as a whole: the engine evicts the
+    chunk to the per-point ``characterize``."""
+    raise RuntimeError("lane group refused")
+
+
 @pytest.fixture
 def stub_characterize(monkeypatch):
     monkeypatch.setattr(mc_module, "characterize", fake_characterize)
+    monkeypatch.setattr(mc_module, "characterize_batch",
+                        fake_characterize_batch)
+
+
+def exploding_characterize():
+    """``characterize`` stand-in whose second call dies hard."""
+    calls = []
+
+    def exploding(pdk, kind, vddi, vddo, plan=None, sizing=None):
+        calls.append(len(calls))
+        if len(calls) == 2:  # second sample dies hard
+            raise RuntimeError("disk on fire")
+        return fake_characterize(pdk, kind, vddi, vddo)
+
+    return exploding
 
 
 class TestAcceptanceCampaign:
@@ -82,18 +111,29 @@ class TestAcceptanceCampaign:
 
 
 class TestQuarantine:
-    def test_characterize_exception_quarantined(self, monkeypatch):
-        calls = []
-
-        def exploding(pdk, kind, vddi, vddo, plan=None, sizing=None):
-            calls.append(len(calls))
-            if len(calls) == 2:  # second sample dies hard
-                raise RuntimeError("disk on fire")
-            return fake_characterize(pdk, kind, vddi, vddo)
-
-        monkeypatch.setattr(mc_module, "characterize", exploding)
+    def test_characterize_exception_quarantined(self, monkeypatch,
+                                                caplog):
+        # The default campaign runs lanes; a refused lane group is
+        # evicted to the per-point path, where the second sample dies.
+        monkeypatch.setattr(mc_module, "characterize",
+                            exploding_characterize())
+        monkeypatch.setattr(mc_module, "characterize_batch",
+                            refused_lane_group)
         result = run_monte_carlo("sstvs", 0.8, 1.2,
                                  MonteCarloConfig(runs=4, seed=1))
+        assert result.quarantined == [1]
+        assert result.failures[0].stage == "characterize"
+        assert "disk on fire" in result.failures[0].error
+        assert len(result.samples) == 3
+        assert "lane group refused" in caplog.text
+        assert "chunk evicted" in caplog.text
+
+    def test_characterize_exception_quarantined_serial(self, monkeypatch):
+        monkeypatch.setattr(mc_module, "characterize",
+                            exploding_characterize())
+        result = run_monte_carlo("sstvs", 0.8, 1.2,
+                                 MonteCarloConfig(runs=4, seed=1,
+                                                  backend="serial"))
         assert result.quarantined == [1]
         assert result.failures[0].stage == "characterize"
         assert "disk on fire" in result.failures[0].error

@@ -1,5 +1,7 @@
 """Tests for the delay-surface sweep (coarse grids for speed)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from repro.analysis import (
     SweepGrid, VDD_MAX, VDD_MIN, render_surface_ascii,
     sweep_delay_surface,
 )
-from repro.analysis.sweep import DelaySurface
+from repro.analysis.sweep import DelaySurface, sweep_spec
 from repro.errors import AnalysisError
+from repro.runtime.experiment import run_experiment
 
 
 class TestSweepGrid:
@@ -59,6 +62,31 @@ class TestSweepSurface:
         text = render_surface_ascii(surface, "rise")
         assert "VDDI\\VDDO" in text
         assert len(text.splitlines()) == 4
+
+
+def _row_bits(resultset) -> list:
+    """Every sweep row as exact bits: index, status, delays, verdict."""
+    return [(row.index, row.status, float.hex(row.value.delay_rise),
+             float.hex(row.value.delay_fall), row.value.functional)
+            for row in resultset.rows]
+
+
+class TestSweepBackends:
+    @pytest.fixture(scope="class")
+    def serial_rows(self):
+        spec = sweep_spec("sstvs", SweepGrid.with_step(0.3))
+        return _row_bits(run_experiment(replace(spec, backend="serial")))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_rows_bitwise_equal_serial(self, serial_rows,
+                                               workers):
+        # The default sweep runs batched lanes (sharded when workers
+        # > 1); every row must be the per-point kernel's, bit for bit.
+        spec = sweep_spec("sstvs", SweepGrid.with_step(0.3),
+                          workers=workers)
+        rows = _row_bits(run_experiment(spec))
+        assert len(rows) == 9
+        assert rows == serial_rows
 
 
 class TestSurfaceHelpers:

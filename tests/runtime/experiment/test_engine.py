@@ -5,9 +5,11 @@ import os
 import pytest
 
 from repro.errors import AnalysisError
+from repro.runtime import telemetry
 from repro.runtime.experiment import (
     ExperimentPoint, ExperimentSpec, ResultRow, ResultSet, run_experiment,
 )
+from repro.runtime.experiment.engine import plan_chunks
 from repro.runtime.faults import FaultPlan
 from repro.runtime.service import CampaignService, ServiceConfig
 
@@ -50,6 +52,11 @@ _BATCH_CALLS = []
 def _batch_recording(params_list):
     _BATCH_CALLS.append(list(params_list))
     return [p * p for p in params_list]
+
+
+def _batch_chunk_sizes(params_list):
+    """Batch measure whose every value is the size of its chunk."""
+    return [len(params_list)] * len(params_list)
 
 
 def _spec(measure=square, n=5, **overrides):
@@ -240,6 +247,70 @@ class TestServiceEntryPoint(TestResume):
         TestExecution.test_progress_exception_isolated_with_warning)
 
 
+class TestChunkPlan:
+    """How pending points are cut into pool tasks."""
+
+    @pytest.mark.parametrize("pending, width, workers, sizes", [
+        (49, 128, 2, [25, 24]),
+        (200, 128, 2, [100, 100]),
+        (512, 128, 2, [128] * 4),
+        (0, 128, 2, []),
+        (7, 3, 1, [3, 3, 1]),
+        (5, 1, 3, [1] * 5),
+    ])
+    def test_chunk_sizes(self, pending, width, workers, sizes):
+        chunks = plan_chunks(list(range(pending)), width, workers)
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [p for chunk in chunks for p in chunk] \
+            == list(range(pending))
+
+    @pytest.mark.parametrize("workers, sizes", [
+        (1, [49] * 49),
+        (2, [25] * 25 + [24] * 24),
+    ])
+    def test_default_backend_runs_lanes(self, workers, sizes):
+        # A spec with a batch_measure runs batched with no backend
+        # named, split evenly over the workers.
+        result = run_experiment(_spec(n=49, workers=workers,
+                                      batch_measure=_batch_chunk_sizes))
+        assert result.values() == sizes
+
+    def test_serial_backend_measures_per_point(self):
+        result = run_experiment(_spec(n=3, backend="serial", workers=2,
+                                      batch_measure=_batch_chunk_sizes))
+        assert result.values() == [0.0, 1.0, 4.0]
+
+    def test_default_sharding_requires_module_level_batch_measure(self):
+        def local_batch(params_list):
+            return [p * p for p in params_list]
+
+        with pytest.raises(AnalysisError, match="module-level"):
+            run_experiment(_spec(workers=2, batch_measure=local_batch))
+        # Nothing is shipped to a pool on the serial backend, nor
+        # under a fault plan, which runs in-process.
+        result = run_experiment(_spec(backend="serial", workers=2,
+                                      batch_measure=local_batch))
+        assert result.counts["ok"] == 5
+        result = run_experiment(_spec(faults=FaultPlan.fail_samples([]),
+                                      workers=2, batch_measure=local_batch))
+        assert result.counts["ok"] == 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ambient_collecting_tracer_keeps_default_per_point(
+            self, workers):
+        # A profiler around the whole run counts the per-point kernel
+        # when the backend is left implicit; naming "batched" still
+        # runs lanes under it.
+        with telemetry.trace(telemetry.CollectingTracer()):
+            default = run_experiment(_spec(
+                n=4, workers=workers, batch_measure=_batch_chunk_sizes))
+            named = run_experiment(_spec(
+                n=4, workers=workers, backend="batched",
+                batch_measure=_batch_chunk_sizes))
+        assert default.values() == [0.0, 1.0, 4.0, 9.0]
+        assert named.values() == [4 // workers] * 4
+
+
 class TestBatchedBackend:
     """The SPMD dispatch: chunking, per-lane quarantine, eviction."""
 
@@ -292,7 +363,7 @@ class TestBatchedBackend:
 
     def test_resolved_backend_defaults(self):
         # There is no "pool" backend: the default (None) already runs
-        # one point per task over a pool when workers > 1.
+        # over a pool when workers > 1.
         with pytest.raises(AnalysisError, match="backend"):
             run_experiment(_spec(backend="pool", workers=3))
 

@@ -400,7 +400,8 @@ class TestEngineIntegration:
             MonteCarloConfig, monte_carlo_spec,
         )
         cache = SolveCache(tmp_path)
-        cold_cfg = MonteCarloConfig(runs=4, solver="dense")
+        cold_cfg = MonteCarloConfig(runs=4, backend="serial",
+                                    solver="dense")
         cold = run_experiment(
             monte_carlo_spec("sstvs", 0.8, 1.2, cold_cfg), cache=cache)
         assert cache.stats.stores == 4

@@ -9,9 +9,11 @@ order with the sample index attached and callback exceptions stay
 isolated (PR 1 semantics).
 
 Campaign-level tests stub the characterization kernel (the machinery
-under test is the distribution layer, not the physics); pool workers
-inherit the stub because the pool forks at first iteration, while the
-monkeypatch is active.
+under test is the distribution layer, not the physics): the per-point
+function and its lane-group twin both, since a campaign with a
+``batch_measure`` runs batched by default. Pool workers inherit the
+stub because the pool forks at first iteration, while the monkeypatch
+is active.
 """
 
 import os
@@ -87,6 +89,13 @@ def fake_characterize_corner(pdk, kind, vddi, vddo, plan=None,
                           functional=True)
 
 
+def fake_characterize_batch(lanes):
+    """Lane-group stand-in: :func:`fake_characterize` on every lane."""
+    return [fake_characterize(pdk, kind, vddi, vddo, plan=plan,
+                              sizing=sizing)
+            for pdk, kind, vddi, vddo, plan, _, sizing, _ in lanes]
+
+
 class FakeQuick:
     def __init__(self, delay):
         self.delay_rise = delay
@@ -98,9 +107,17 @@ def fake_quick_delays(pdk, kind, vddi, vddo, sizing=None):
     return FakeQuick(1e-12 * (vddi + 10.0 * vddo))
 
 
+def fake_quick_delays_batch(lanes):
+    """Lane-group stand-in: :func:`fake_quick_delays` on every lane."""
+    return [fake_quick_delays(pdk, kind, vddi, vddo, sizing=sizing)
+            for pdk, kind, vddi, vddo, _, _, sizing in lanes]
+
+
 @pytest.fixture
 def stub_characterize(monkeypatch):
     monkeypatch.setattr(mc_module, "characterize", fake_characterize)
+    monkeypatch.setattr(mc_module, "characterize_batch",
+                        fake_characterize_batch)
     monkeypatch.setattr(corners_module, "characterize",
                         fake_characterize_corner)
 
@@ -108,6 +125,8 @@ def stub_characterize(monkeypatch):
 @pytest.fixture
 def stub_quick_delays(monkeypatch):
     monkeypatch.setattr(sweep_module, "quick_delays", fake_quick_delays)
+    monkeypatch.setattr(sweep_module, "quick_delays_batch",
+                        fake_quick_delays_batch)
     import repro.analysis.functional as functional_module
     monkeypatch.setattr(functional_module, "quick_delays",
                         fake_quick_delays)

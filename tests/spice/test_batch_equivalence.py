@@ -37,6 +37,7 @@ from repro.errors import AnalysisError, ConvergenceError
 from repro.pdk import Pdk
 from repro.pdk.variation import VariationSpec, VariedPdk
 from repro.spice.assembly import SolverWorkspace
+import repro.spice.batch as batch_module
 from repro.spice.batch import (
     BatchTransient, BatchUnsupported, LaneGroup, _solve_stack,
 )
@@ -155,6 +156,28 @@ class TestBitwiseTransientParity:
             assert lane._states.shape == serial._states.shape
             assert np.array_equal(lane._states, serial._states), \
                 f"lane {k} states differ from serial"
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, "exact"])
+    def test_history_spanning_blocks_bitwise_equal(
+            self, rows, serial_results, monkeypatch):
+        # Accepted rows land in preallocated history blocks; a lane
+        # that fills several of them (or exactly one) must still hand
+        # back exactly the serial times and states, bit for bit.
+        exact = rows == "exact"
+        if exact:
+            rows = serial_results[0].sample_count
+        monkeypatch.setattr(batch_module, "HISTORY_BLOCK", rows)
+        result = BatchTransient(_lane_circuits(), T_STOP, _options()).run()
+        count = result.lane(0).sample_count
+        assert count == rows if exact else count > rows
+        for k in range(N_LANES):
+            lane, serial = result.lane(k), serial_results[k]
+            for got, want in ((lane.times, serial.times),
+                              (lane._states, serial._states)):
+                assert got.dtype == want.dtype == np.float64
+                assert got.shape == want.shape
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), f"lane {k}"
 
     def test_zero_ulp_bound_is_enforced(self, batched_result,
                                         serial_results):

@@ -292,6 +292,17 @@ class TestCountArguments:
             assert row.value["signoff_ok"] is True
             assert row.value["violations"] == 0
 
+    def test_floorplan_equal_costs_print_a_tie(self, tmp_path, capsys):
+        """With no crossings every strategy costs the same, so neither
+        sstvs nor cvs wins the comparison line."""
+        code = main(["floorplan", "--blocks", "4", "--domains", "2",
+                     "--moves", "20", "--workers", "1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sstvs vs cvs objective: 1.000x (tie — CVS pays 0 um" in out
+        assert "wins" not in out
+
 
 class TestCacheServeParser:
     def test_serve_requires_jobs(self):
