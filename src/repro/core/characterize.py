@@ -346,8 +346,7 @@ def _batched_leakage(group, bres, built) -> list:
             seeds.append(bres.lane(k).state_at(t))
         res = group.newton(np.asarray(live, dtype=np.intp),
                            np.asarray(seeds, dtype=float),
-                           times=times, integrators=[None] * len(live),
-                           options=opts)
+                           times=times, options=opts)
         for pos, k in enumerate(live):
             if res.converged[pos]:
                 circuit, probes = built[k][1], built[k][2]

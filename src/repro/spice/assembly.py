@@ -60,10 +60,9 @@ _TRUSTED_LINEAR = (Resistor, Capacitor, VoltageSource, CurrentSource,
                    Inductor)
 
 #: Cached base matrices per plan; transient runs alternate between a
-#: handful of (method, dt) pairs once the step controller settles, but
-#: a batched lane group cycles every lane's growth/halving dt sequence
-#: through its shared plan, so the window is sized for that churn (the
-#: memory cost is naug² floats per entry — a few KB).
+#: handful of (method, dt) pairs once the step controller settles (the
+#: memory cost is naug² floats per entry — a few KB). The batched lane
+#: kernel keeps its own base stack and never fills this cache.
 _BASE_CACHE_SIZE = 64
 
 

@@ -9,16 +9,24 @@ into *lanes* of 3-D ndarrays and drives them together:
 * :class:`LaneGroup` checks the lanes are structurally identical
   (same MNA size, same MOSFET stamp layout) and owns the stacked
   buffers — one ``(L, naug, naug)`` matrix block, one batched EKV
-  parameter set, and one per-lane :class:`~repro.spice.assembly.
-  SolverWorkspace` for everything that is cheap and already bitwise
-  (base matrices, RHS bases, capacitor state).
+  parameter set, a base-matrix stack holding each lane's live base,
+  stacked RHS and capacitor state. In a uniform group (one RHS, base
+  and capacitor layout, no inductors) a solve's stale bases are
+  rebuilt in one stacked pass from the lanes' COO templates, so no
+  :class:`~repro.spice.assembly.AssemblyPlan` base cache is filled;
+  otherwise each lane's :class:`~repro.spice.assembly.SolverWorkspace`
+  sets up its solve as the serial path does.
 * :meth:`LaneGroup.newton` runs a lane-masked damped Newton: one
   vectorized EKV evaluation over all active lanes, one ``np.add.at``
-  scatter, and one batched LAPACK ``solve`` per iteration. Converged
-  and diverged lanes drop out of the active set immediately, so a
-  straggler never costs the finished lanes anything and a diverging
-  lane cannot poison its neighbors (each lane occupies its own matrix
-  block; LAPACK factorizes the blocks independently).
+  scatter, and one batched LAPACK ``solve`` per iteration. A solve's
+  regime is arrays — per-lane times, a backward-Euler mask and the
+  step sizes (neither for DC) — and the alive lanes' iterates, bases,
+  RHS bases and EKV parameters stay compact, re-gathered only when a
+  lane leaves. Converged and diverged lanes drop out of the active
+  set immediately, so a straggler never costs the finished lanes
+  anything and a diverging lane cannot poison its neighbors (each
+  lane occupies its own matrix block; LAPACK factorizes the blocks
+  independently).
 * :meth:`LaneGroup.solve_dc` sends lanes that plain batched Newton
   cannot crack down the RetryPolicy ladder. Untraced runs without a
   fault plan or a wall-clock/iteration budget replay that ladder
@@ -41,17 +49,19 @@ into *lanes* of 3-D ndarrays and drives them together:
 the same decisions it would take alone — the batched backend is
 *bitwise identical* to the serial solver, and
 ``tests/spice/test_batch_equivalence.py`` enforces exactly that. The
-ingredients: per-lane ``begin_solve`` reuses the serial base-matrix /
-RHS code verbatim; the stacked EKV evaluation calls the same
-elementwise kernel (numpy ufuncs are value-deterministic across array
-shapes); the ``np.add.at`` scatter is laid out lane-major so each
-lane's accumulation sub-order matches the serial device-major order;
-and the batched LAPACK ``solve`` gufunc factorizes each ``(n, n)``
-block with the same routine the serial path uses, yielding bit-equal
-solutions per lane. The documented tolerance bound (0 ULP on this
-path) is therefore *test-enforced, not aspirational*; the harness
-carries a negative control showing a genuinely reordered reduction
-does exceed it.
+ingredients: the stacked base and RHS rebuilds replay each lane's
+serial COO templates (the plan's own values, the serial companion
+expressions, the same ``np.add.at`` order per lane), and the
+non-uniform path calls ``begin_solve`` itself; the stacked EKV
+evaluation calls the same elementwise kernel (numpy ufuncs are
+value-deterministic across array shapes); the ``np.add.at`` scatter
+is laid out lane-major so each lane's accumulation sub-order matches
+the serial device-major order; and the batched LAPACK ``solve``
+gufunc factorizes each ``(n, n)`` block with the same routine the
+serial path uses, yielding bit-equal solutions per lane. The
+documented tolerance bound (0 ULP on this path) is therefore
+*test-enforced, not aspirational*; the harness carries a negative
+control showing a genuinely reordered reduction does exceed it.
 
 Structural prerequisites are strict on purpose: all lanes must share a
 supported :class:`~repro.spice.assembly.AssemblyPlan` (no opaque
@@ -169,6 +179,16 @@ class _LaneMarch:
     error: str | None = None
 
 
+def _integrator(be, dt, k: int) -> Optional[IntegratorState]:
+    """Lane position ``k``'s step regime as the serial
+    :class:`IntegratorState` (None for DC), for the device methods that
+    take one."""
+    if be is None:
+        return None
+    return IntegratorState(BACKWARD_EULER if be[k] else TRAPEZOIDAL,
+                           float(dt[k]))
+
+
 def _solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched linear solve; singular blocks yield non-finite rows."""
     if _lapack_solve1 is not None:
@@ -233,6 +253,9 @@ class LaneGroup:
 
         mg = ref.mosfet_group
         self.n_mos = mg.n if mg is not None else 0
+        # EKV parameters (9, L, n_mos); empty without MOSFETs, so the
+        # Newton loop compacts them unconditionally.
+        self._mos_params = np.empty((9, L, 0), dtype=float)
         if mg is not None:
             self._dgsb = mg.dgsb  # (4, n_mos), identical across lanes
             # Lane-major flat indices into the stacked matrix/RHS
@@ -252,13 +275,13 @@ class LaneGroup:
             self._rv = np.empty((L, self.n_mos, 2), dtype=float)
 
         # Stacked per-call buffers. The base-matrix stack is indexed by
-        # *absolute* lane id with a per-lane (method, dt, gmin) memo, so
-        # a lane whose regime did not change between solves skips both
-        # the assembly-plan cache lookup and the block copy.
+        # *absolute* lane id and holds each lane's live base; a lane
+        # whose regime did not change between solves keeps its block.
         self._base_stack = np.empty((L, naug, naug), dtype=float)
-        # Per-lane (method, dt, gmin) memo for the base stack, kept as
-        # parallel arrays so staleness checks vectorize over a whole
-        # lane set. method code: -1 invalid, 0 DC, 1 BE, 2 TRAP.
+        # Per-lane (method, dt, gmin) memo of the block in the base
+        # stack, kept as parallel arrays so staleness checks vectorize
+        # over a whole lane set; only stale lanes are rebuilt. method
+        # code: -1 invalid, 0 DC, 1 BE, 2 TRAP.
         self._bk_method = np.full(L, -1, dtype=np.int8)
         self._bk_dt = np.zeros(L, dtype=float)
         self._bk_gmin = np.full(L, np.nan, dtype=float)
@@ -282,7 +305,7 @@ class LaneGroup:
         self.n_caps = cg.n if cg is not None else 0
         self._uniform = all(
             self._same_solve_structure(ref, ws.plan)
-            for ws in self.workspaces[1:])
+            for ws in self.workspaces)
         if self._uniform:
             lanes_col = np.arange(L, dtype=np.intp)[:, None]
             rows_tr = ref._rhs_tr[0]
@@ -336,6 +359,25 @@ class LaneGroup:
                     [ws.plan.cap_group.c for ws in self.workspaces])
                 self._cap_ic = np.stack(
                     [ws.plan.cap_group.ic for ws in self.workspaces])
+            # Stacked base-matrix COO templates, one per regime: the
+            # shared layout as lane-major flat indices into the base
+            # stack, each lane's own template values, and the capacitor
+            # geq slots. Rebuilding from them replays
+            # AssemblyPlan.base_matrix per lane (same values, same
+            # accumulation order), so no plan's base cache is filled.
+            self._base_flat = self._base_stack.reshape(L, naug * naug)
+            self._diag = ref._diag_flat
+            self._mat: dict = {}
+            for regime, name in (("tr", "_mat_tr"), ("dc", "_mat_dc")):
+                idx, _, cap_pos, cap_neg, _ = getattr(ref, name)
+                self._mat[regime] = (
+                    np.ascontiguousarray(
+                        lanes_col * (naug * naug) + idx[None, :]),
+                    np.stack([getattr(ws.plan, name)[1]
+                              for ws in self.workspaces]),
+                    cap_pos, cap_neg)
+        self._stateful = any(ws.plan.stateful_scalar
+                             for ws in self.workspaces)
         # Stacked capacitor state (L, n_caps), lazily loaded from the
         # device objects like SolverWorkspace._cap_state.
         self._cap_v: Optional[np.ndarray] = None
@@ -444,8 +486,11 @@ class LaneGroup:
         ``np.searchsorted(side="right")`` is exactly ``bisect_right``;
         the interpolation expression is the serial one elementwise, and
         out-of-range lanes (selected out by np.where) read a clamped
-        segment whose finite division cannot trap.
+        segment whose finite division cannot trap. A one-point
+        waveform has no segment: it is its constant, as serially.
         """
+        if t_pts.size == 1:
+            return v_rows[:, 0].copy()
         idx = np.searchsorted(t_pts, t, side="right") - 1
         idx = np.clip(idx, 0, t_pts.size - 2)
         rows = np.arange(len(t))
@@ -459,7 +504,11 @@ class LaneGroup:
 
     @staticmethod
     def _same_solve_structure(ref, plan) -> bool:
-        """Identical RHS row layout + capacitor structure vs lane 0."""
+        """Identical RHS row layout, base-matrix layout and capacitor
+        structure vs lane 0, with no scalar reactive device (inductor)
+        in either: those keep the per-workspace base path."""
+        if ref._mat_tr[4] or plan._mat_tr[4]:
+            return False
         for a, b in ((ref._rhs_tr, plan._rhs_tr),
                      (ref._rhs_dc, plan._rhs_dc)):
             if not (np.array_equal(a[0], b[0])
@@ -467,6 +516,12 @@ class LaneGroup:
                     and np.array_equal(a[3], b[3])
                     and [(s, c) for _, s, c in a[1]]
                     == [(s, c) for _, s, c in b[1]]):
+                return False
+        for a, b in ((ref._mat_tr, plan._mat_tr),
+                     (ref._mat_dc, plan._mat_dc)):
+            if not (np.array_equal(a[0], b[0])
+                    and np.array_equal(a[2], b[2])
+                    and np.array_equal(a[3], b[3])):
                 return False
         a, b = ref.cap_group, plan.cap_group
         if (a is None) != (b is None):
@@ -480,8 +535,9 @@ class LaneGroup:
     # -- lane-masked batched Newton --------------------------------------
 
     def newton(self, lane_ids: np.ndarray, x0: np.ndarray, *,
-               times: Sequence[float],
-               integrators: Sequence[Optional[IntegratorState]],
+               times: Optional[np.ndarray] = None,
+               be: Optional[np.ndarray] = None,
+               dt: Optional[np.ndarray] = None,
                options: Optional[NewtonOptions] = None,
                gmin: Optional[float] = None,
                source_scale: float = 1.0) -> BatchNewtonResult:
@@ -490,20 +546,31 @@ class LaneGroup:
         Args:
             lane_ids: absolute lane indices participating in this call.
             x0: initial iterates, shape ``(len(lane_ids), size)``.
-            times / integrators: per-lane solve regime (a transient
-                super-step hands every lane its own ``t + h`` and
-                integrator; DC passes 0.0 / None).
+            times: per-lane source time (``None``: 0.0 for every lane).
+            be / dt: per-lane transient step regime — a backward-Euler
+                mask (trapezoidal where False) and the step sizes. Both
+                ``None`` is a DC solve.
 
         Each lane replays exactly the serial loop's float operations —
         per-lane damping decisions, per-lane convergence tests — so a
         converged lane's solution is bitwise what :func:`newton_solve`
         would return. Converged/failed lanes leave the active set at
-        the end of the iteration that settles them.
+        the end of the iteration that settles them; the iterates, base
+        blocks, RHS bases and EKV parameters of the lanes still alive
+        stay in compact arrays, re-gathered only when a lane leaves.
         """
         opts = options or NewtonOptions()
         effective_gmin = opts.gmin if gmin is None else gmin
         lane_ids = np.asarray(lane_ids, dtype=np.intp)
         nc = len(lane_ids)
+        if (be is None) != (dt is None):
+            raise ValueError("newton takes be and dt together (a "
+                             "transient step) or neither (DC)")
+        times = (np.zeros(nc) if times is None
+                 else np.asarray(times, dtype=float))
+        if be is not None:
+            be = np.asarray(be, dtype=bool)
+            dt = np.asarray(dt, dtype=float)
         size, n_nodes, naug = self.size, self.n_nodes, self.naug
         n_branch = size - n_nodes
         tracer = telemetry.active_tracer()
@@ -513,16 +580,22 @@ class LaneGroup:
         # Per-solve setup: base matrices and RHS bases, bitwise the
         # serial begin_solve's (stacked across lanes where structure
         # allows, per-lane workspace code otherwise).
-        self._begin_solve_batch(lane_ids, times, integrators,
-                                effective_gmin, source_scale)
+        self._begin_solve_batch(lane_ids, times, be, dt, effective_gmin,
+                                source_scale)
         add_solve_stats(solves=nc)
 
+        # X receives each lane's final iterate when it leaves; the
+        # compact arrays hold the alive lanes in position order.
         X = np.array(x0, dtype=float, copy=True)
         converged = np.zeros(nc, dtype=bool)
         iterations = np.zeros(nc, dtype=np.intp)
         errors: list = [None] * nc
         last_dv = np.zeros(nc, dtype=float)
         alive = np.arange(nc, dtype=np.intp)
+        Xc = X.copy()
+        base = self._base_stack[lane_ids]
+        rhs = self._rhsb_stack[:nc]
+        params = self._mos_params[:, lane_ids]
         damped = self.damped
         sparse = self._sparse_kernel(opts)
 
@@ -539,15 +612,14 @@ class LaneGroup:
                     tracer.count("batch.newton.lane_iterations", na)
                 A = self._A[:na]
                 R = self._R[:na]
-                abs_alive = lane_ids[alive]
-                np.take(self._base_stack, abs_alive, axis=0, out=A)
-                np.take(self._rhsb_stack[:nc], alive, axis=0, out=R)
+                np.copyto(A, base)
+                np.copyto(R, rhs)
                 Xa = self._Xaug[:na]
-                Xa[:, :size] = X[alive]
+                Xa[:, :size] = Xc
                 Xa[:, size:] = 0.0
                 if self.n_mos:
-                    self._stamp_mosfets(abs_alive, Xa, A, R,
-                                        effective_gmin, na, naug)
+                    self._stamp_mosfets(params, Xa, A, R, effective_gmin,
+                                        na, naug)
 
                 if sparse is not None:
                     x_new = sparse.solve(A[:, :size, :size], R[:, :size])
@@ -565,19 +637,22 @@ class LaneGroup:
                             errors[k] = ("non-finite solution at "
                                          f"iteration {iteration}")
                         iterations[k] = iteration
+                    # A failed lane keeps the iterate it entered with.
+                    X[alive[~finite]] = Xc[~finite]
+                    alive, Xc, base, rhs, params = (
+                        alive[finite], Xc[finite], base[finite],
+                        rhs[finite], params[:, finite])
+                    x_new = x_new[finite]
+                    if alive.size == 0:
+                        continue
 
-                rows = alive[finite]
-                if rows.size == 0:
-                    alive = rows
-                    continue
-                xn = x_new[finite]
-                delta = xn - X[rows]
+                delta = x_new - Xc
                 absd = np.abs(delta)
                 max_dv = (absd[:, :n_nodes].max(axis=1) if n_nodes
-                          else np.zeros(rows.size))
+                          else np.zeros(alive.size))
                 max_di = (absd[:, n_nodes:].max(axis=1) if n_branch
-                          else np.zeros(rows.size))
-                last_dv[rows] = max_dv
+                          else np.zeros(alive.size))
+                last_dv[alive] = max_dv
 
                 if damped:
                     clamp = max_dv > opts.max_step_v
@@ -589,26 +664,32 @@ class LaneGroup:
                                      opts.max_step_v
                                      / np.where(clamp, max_dv, 1.0),
                                      1.0)
-                    X[rows] += delta * scale[:, None]
+                    Xc += delta * scale[:, None]
                 else:
-                    clamp = np.zeros(rows.size, dtype=bool)
-                    X[rows] += delta
+                    clamp = np.zeros(alive.size, dtype=bool)
+                    Xc += delta
 
-                absx = np.abs(X[rows])
+                absx = np.abs(Xc)
                 v_tol = opts.abstol_v + opts.reltol * (
                     absx[:, :n_nodes].max(axis=1) if n_nodes
-                    else np.zeros(rows.size))
+                    else np.zeros(alive.size))
                 i_tol = opts.abstol_i + opts.reltol * (
                     absx[:, n_nodes:].max(axis=1) if n_branch
-                    else np.zeros(rows.size))
+                    else np.zeros(alive.size))
                 conv = (~clamp) & (max_dv <= v_tol) & (max_di <= i_tol)
-                newly = rows[conv]
-                converged[newly] = True
-                iterations[newly] = iteration + 1
-                alive = rows[~conv]
+                if conv.any():
+                    newly = alive[conv]
+                    converged[newly] = True
+                    iterations[newly] = iteration + 1
+                    X[newly] = Xc[conv]
+                    keep = ~conv
+                    alive, Xc, base, rhs, params = (
+                        alive[keep], Xc[keep], base[keep], rhs[keep],
+                        params[:, keep])
         finally:
             np.seterr(**saved_err)
 
+        X[alive] = Xc
         for k in alive:
             errors[k] = (f"Newton failed to converge in "
                          f"{opts.max_iterations} iterations "
@@ -622,13 +703,13 @@ class LaneGroup:
                                  iterations=iterations, errors=errors,
                                  last_dv=last_dv)
 
-    def _stamp_mosfets(self, abs_ids, Xa, A, R, gmin, na, naug) -> None:
+    def _stamp_mosfets(self, params, Xa, A, R, gmin, na, naug) -> None:
         """Vectorized EKV + scatter over all active lanes at once."""
         from repro.spice.devices.mosfet import ekv_evaluate
         V = Xa[:, self._dgsb]  # (na, 4, n_mos)
         vd, vg, vs, vb = V[:, 0], V[:, 1], V[:, 2], V[:, 3]
         (sign, vto, n_slope, ut, gamma, phi, eta_dibl, lambda_clm,
-         ispec) = self._mos_params[:, abs_ids]
+         ispec) = params
         id_real, gdd, gdg, gds_, gdb = ekv_evaluate(
             sign, vto, n_slope, ut, gamma, phi, eta_dibl, lambda_clm,
             ispec, vd, vg, vs, vb)
@@ -654,25 +735,26 @@ class LaneGroup:
 
     # -- stacked per-solve setup and capacitor state ---------------------
 
-    def _begin_solve_batch(self, lane_ids, times, integrators, gmin,
+    def _begin_solve_batch(self, lane_ids, times, be, dt, gmin,
                            source_scale) -> None:
         """Rebuild every lane's base matrix and RHS base for one solve.
 
-        The scalar source values still come from each lane's own device
-        objects (waveform evaluation is data-dependent Python), but the
-        capacitor companion and the RHS scatter run stacked across
-        lanes. Per lane the value order and the float expressions are
-        exactly :meth:`SolverWorkspace.begin_solve`'s, so the bases are
-        bitwise the serial ones.
+        Stale base blocks are rebuilt in one stacked pass
+        (:meth:`_rebuild_bases`). The scalar source values still come
+        from each lane's own device objects (waveform evaluation is
+        data-dependent Python), but the capacitor companion and the RHS
+        scatter run stacked across lanes. Per lane the value order and
+        the float expressions are exactly
+        :meth:`SolverWorkspace.begin_solve`'s, so the bases are bitwise
+        the serial ones.
         """
         nc = len(lane_ids)
         self._companion_cache = None
-        transient = nc > 0 and integrators[0] is not None
-        if not self._uniform or any(
-                (i is not None) != transient for i in integrators):
-            for k, lane in enumerate(lane_ids):
+        transient = be is not None
+        if not self._uniform:
+            for k, (lane, t) in enumerate(zip(lane_ids, times.tolist())):
                 ws = self.workspaces[lane]
-                ws.begin_solve(times[k], integrators[k], gmin,
+                ws.begin_solve(t, _integrator(be, dt, k), gmin,
                                source_scale)
                 self._base_stack[lane] = ws._base
                 self._bk_method[lane] = -1
@@ -694,60 +776,72 @@ class LaneGroup:
                         row[start + j] = entries[j][1]
             self._static_scale[regime] = source_scale
         np.take(template, lane_ids, axis=0, out=vals)
-        if self._dyn_vec[regime]:
-            t_arr = np.asarray(times, dtype=float)
-            for shape, start, payload in self._dyn_vec[regime]:
-                if shape == "pulse":
-                    vals[:, start] = self._pulse_value_lanes(
-                        t_arr, payload[:, lane_ids]) * source_scale
-                else:
-                    t_pts, v_pts = payload
-                    vals[:, start] = self._pwl_value_lanes(
-                        t_arr, t_pts, v_pts[lane_ids]) * source_scale
-        lid = np.asarray(lane_ids, dtype=np.intp)
+        for shape, start, payload in self._dyn_vec[regime]:
+            if shape == "pulse":
+                vals[:, start] = self._pulse_value_lanes(
+                    times, payload[:, lane_ids]) * source_scale
+            else:
+                t_pts, v_pts = payload
+                vals[:, start] = self._pwl_value_lanes(
+                    times, t_pts, v_pts[lane_ids]) * source_scale
+        geq = None
+        if transient and self.n_caps:
+            ref = self.workspaces[0].plan
+            geq, ieq = self._companion_lanes(lane_ids, be, dt)
+            self._companion_cache = (lane_ids, geq, ieq)
+            vals[:, ref._rhs_tr[2]] = -ieq
+            vals[:, ref._rhs_tr[3]] = ieq
         if transient:
-            m_codes = np.fromiter(
-                (1 if i.method == BACKWARD_EULER else 2
-                 for i in integrators), dtype=np.int8, count=nc)
-            dts = np.fromiter((i.dt for i in integrators), dtype=float,
-                              count=nc)
+            m_codes = np.where(be, np.int8(1), np.int8(2))
+            dts = dt
         else:
             m_codes = np.zeros(nc, dtype=np.int8)
             dts = np.zeros(nc, dtype=float)
-        stale = ((self._bk_method[lid] != m_codes)
-                 | (self._bk_dt[lid] != dts)
-                 | (self._bk_gmin[lid] != gmin))
+        stale = ((self._bk_method[lane_ids] != m_codes)
+                 | (self._bk_dt[lane_ids] != dts)
+                 | (self._bk_gmin[lane_ids] != gmin))
         if stale.any():
-            for k in np.nonzero(stale)[0]:
-                lane = lid[k]
-                self._base_stack[lane] = self.workspaces[
-                    lane].plan.base_matrix(integrators[k], gmin)
-            self._bk_method[lid] = m_codes
-            self._bk_dt[lid] = dts
-            self._bk_gmin[lid] = gmin
-        dynamic = self._dynamic_scalar[regime]
+            self._rebuild_bases(lane_ids[stale], regime, gmin,
+                                None if geq is None else geq[stale])
+            self._bk_method[lane_ids] = m_codes
+            self._bk_dt[lane_ids] = dts
+            self._bk_gmin[lane_ids] = gmin
         if self._dyn_scalar_any[regime]:
-            for k, lane in enumerate(lane_ids):
+            dynamic = self._dynamic_scalar[regime]
+            for k, (lane, t) in enumerate(zip(lane_ids, times.tolist())):
+                if not dynamic[lane]:
+                    continue
                 vk = vals[k]
-                t = times[k]
-                integ = integrators[k]
+                integ = _integrator(be, dt, k)
                 for device, start, count in dynamic[lane]:
                     entries = device.dynamic_rhs_entries(t, source_scale,
                                                          integ)
                     for j in range(count):
                         vk[start + j] = entries[j][1]
-        if transient and self.n_caps:
-            ref = self.workspaces[0].plan
-            geq, ieq = self._companion_lanes(np.asarray(lane_ids),
-                                             integrators)
-            self._companion_cache = (np.asarray(lane_ids, dtype=np.intp),
-                                     geq, ieq)
-            vals[:, ref._rhs_tr[2]] = -ieq
-            vals[:, ref._rhs_tr[3]] = ieq
         R = self._rhsb_stack[:nc]
         R[...] = 0.0
         np.add.at(self._rhsb_flat[:nc * self.naug], idx.ravel(),
                   vals.ravel())
+
+    def _rebuild_bases(self, lanes, regime, gmin, geq) -> None:
+        """Stacked :meth:`AssemblyPlan.base_matrix` for ``lanes``.
+
+        Each lane's template values (capacitor ``geq`` slots filled from
+        ``geq``, the companion conductances of this step) go through one
+        lane-major ``np.add.at`` onto zeroed blocks, then ``+= gmin`` on
+        the node diagonal: per lane the serial rebuild's values in its
+        accumulation order, so every block is bitwise the plan's base.
+        """
+        idx, template, cap_pos, cap_neg = self._mat[regime]
+        vals = template[lanes]
+        if geq is not None:
+            pairs = np.repeat(geq, 2, axis=1)
+            vals[:, cap_pos] = pairs
+            vals[:, cap_neg] = -pairs
+        flat = self._base_flat
+        flat[lanes] = 0.0
+        np.add.at(flat.reshape(-1), idx[lanes].ravel(), vals.ravel())
+        flat[lanes[:, None], self._diag] += gmin
 
     def _cap_state_stack(self) -> None:
         """Lazy-load stacked capacitor state from the device objects."""
@@ -759,17 +853,14 @@ class LaneGroup:
                 [[c._i_prev for c in ws.plan.cap_group.caps]
                  for ws in self.workspaces], dtype=float)
 
-    def _companion_lanes(self, lane_ids, integrators):
+    def _companion_lanes(self, lane_ids, be, dt):
         """Stacked :meth:`_CapacitorGroup.companion` (same float ops)."""
         self._cap_state_stack()
         v_prev = self._cap_v[lane_ids]
         i_prev = self._cap_i[lane_ids]
         c = self._cap_c[lane_ids]
-        n = len(integrators)
-        dt = np.fromiter((i.dt for i in integrators), dtype=float,
-                         count=n)[:, None]
-        be = np.fromiter((i.method == BACKWARD_EULER for i in integrators),
-                         dtype=bool, count=n)[:, None]
+        dt = dt[:, None]
+        be = be[:, None]
         # Both branches are evaluated elementwise with the exact serial
         # expressions; np.where selects per lane, so a BE lane's values
         # are bitwise the BE companion's and likewise for TRAP.
@@ -800,17 +891,19 @@ class LaneGroup:
             ic = self._cap_ic[lane_ids]
             self._cap_v[lane_ids] = np.where(np.isnan(ic), v, ic)
             self._cap_i[lane_ids] = 0.0
-        for k, lane in enumerate(lane_ids):
-            for device in self.workspaces[lane].plan.stateful_scalar:
-                device.init_state(X[k])
+        if self._stateful:
+            for k, lane in enumerate(lane_ids):
+                for device in self.workspaces[lane].plan.stateful_scalar:
+                    device.init_state(X[k])
 
     def update_state_lanes(self, lane_ids: np.ndarray, X_new: np.ndarray,
-                           integrators: Sequence) -> None:
-        """Stacked :meth:`SolverWorkspace.update_state` over lanes."""
+                           be: np.ndarray, dt: np.ndarray) -> None:
+        """Stacked :meth:`SolverWorkspace.update_state` over lanes, for
+        the accepted step regime ``(be, dt)`` of each."""
         if not self._uniform:
             for k, lane in enumerate(lane_ids):
-                self.workspaces[lane].update_state(X_new[k],
-                                                   integrators[k])
+                self.workspaces[lane].update_state(
+                    X_new[k], _integrator(be, dt, k))
             return
         if self.n_caps:
             v_new = self._cap_terminal_v(lane_ids, X_new)
@@ -822,18 +915,18 @@ class LaneGroup:
                 if np.array_equal(cached_ids[pos], lane_ids):
                     geq, ieq = geq_all[pos], ieq_all[pos]
                 else:
-                    geq, ieq = self._companion_lanes(lane_ids,
-                                                     integrators)
+                    geq, ieq = self._companion_lanes(lane_ids, be, dt)
             else:
-                geq, ieq = self._companion_lanes(lane_ids, integrators)
+                geq, ieq = self._companion_lanes(lane_ids, be, dt)
             self._cap_i[lane_ids] = geq * v_new + ieq
             self._cap_v[lane_ids] = v_new
             # The previous state just changed; the cached companion no
             # longer reflects it.
             self._companion_cache = None
-        for k, lane in enumerate(lane_ids):
-            for device in self.workspaces[lane].plan.stateful_scalar:
-                device.update_state(X_new[k], integrators[k])
+        if self._stateful:
+            for k, lane in enumerate(lane_ids):
+                for device in self.workspaces[lane].plan.stateful_scalar:
+                    device.update_state(X_new[k], _integrator(be, dt, k))
 
     def sync_state_lane(self, lane: int) -> None:
         """Write one lane's stacked capacitor state back to devices."""
@@ -874,8 +967,7 @@ class LaneGroup:
         lane_ids = np.arange(nc, dtype=np.intp)
         x0s = (np.zeros((nc, self.size))
                if x0 is None else np.asarray(x0, dtype=float))
-        res = self.newton(lane_ids, x0s, times=[0.0] * nc,
-                          integrators=[None] * nc, options=opts)
+        res = self.newton(lane_ids, x0s, options=opts)
         X = res.x
         reports: list = [None] * nc
         errors: list = [None] * nc
@@ -959,9 +1051,7 @@ class LaneGroup:
             for g in tuple(pol.gmin_ladder) + (opts.gmin,):
                 if ids.size == 0:
                     break
-                res = self.newton(ids, Xg, times=[0.0] * len(ids),
-                                  integrators=[None] * len(ids),
-                                  options=opts, gmin=g)
+                res = self.newton(ids, Xg, options=opts, gmin=g)
                 for pos, k in enumerate(ids):
                     ladder_reports[int(k)].attempts.append(
                         _record("gmin", f"gmin={g:g}", res, pos))
@@ -982,9 +1072,8 @@ class LaneGroup:
             for scale in ramp:
                 if src.size == 0:
                     break
-                res = self.newton(src, Xs, times=[0.0] * len(src),
-                                  integrators=[None] * len(src),
-                                  options=opts, source_scale=scale)
+                res = self.newton(src, Xs, options=opts,
+                                  source_scale=scale)
                 for pos, k in enumerate(src):
                     ladder_reports[int(k)].attempts.append(
                         _record("source", f"scale={scale:g}", res, pos))
@@ -1166,7 +1255,8 @@ class BatchTransient:
         for k in live:
             marches[k].history.append(0.0, X[k])
 
-        # Hot per-lane step-control state.
+        # Hot per-lane step-control state, and the step counters that
+        # are folded into each lane's report when the run ends.
         dead = np.asarray([m.error is not None for m in marches])
         t = np.zeros(nc, dtype=float)
         h = restart_a.copy()
@@ -1174,6 +1264,9 @@ class BatchTransient:
         use_be = np.ones(nc, dtype=bool)  # first step from DC uses BE
         halvings = np.zeros(nc, dtype=np.intp)
         max_halv = policy.max_step_halvings
+        n_accepted = np.zeros(nc, dtype=np.intp)
+        n_rejected = np.zeros(nc, dtype=np.intp)
+        n_halved = np.zeros(nc, dtype=np.intp)
 
         def _stall(k: int, reason: str) -> None:
             group.sync_state_lane(k)
@@ -1207,16 +1300,8 @@ class BatchTransient:
                 be = use_be[act]
             else:
                 be = np.full(act.size, forced_method == BACKWARD_EULER)
-            # Python floats on the way out: dt is a dict key (base-
-            # matrix memos hash Python floats several times faster than
-            # numpy scalars) and the value is bit-identical either way.
-            integrators = [
-                IntegratorState(method=BACKWARD_EULER if b else TRAPEZOIDAL,
-                                dt=dt)
-                for b, dt in zip(be.tolist(), ha.tolist())]
 
-            res = group.newton(act, X[act], times=(ta + ha).tolist(),
-                               integrators=integrators,
+            res = group.newton(act, X[act], times=ta + ha, be=be, dt=ha,
                                options=opts.newton)
             if tracer is not None:
                 tracer.count("batch.tran.super_steps")
@@ -1243,7 +1328,7 @@ class BatchTransient:
                         continue
                     h[k] = max(h[k] / 2.0, h_min_a[k])
                     halvings[k] += 1
-                    m.report.total_halvings += 1
+                    n_halved[k] += 1
                     if policy.be_on_retry:
                         use_be[k] = True
 
@@ -1255,9 +1340,8 @@ class BatchTransient:
                 ids = act[rej]
                 h[ids] = np.maximum(h[ids] / 2.0, h_min_a[ids])
                 halvings[ids] += 1
-                for k in ids:
-                    marches[k].report.steps_rejected_dv += 1
-                    marches[k].report.total_halvings += 1
+                n_rejected[ids] += 1
+                n_halved[ids] += 1
 
             # Accepted steps: state arrays update vectorized, the
             # capacitor-state update runs stacked, and only the result
@@ -1277,18 +1361,19 @@ class BatchTransient:
                                            h[ids]))
                 use_be[ids] = hit_acc
                 halvings[ids] = 0
-                group.update_state_lanes(
-                    ids, X[ids], [integrators[p] for p in acc])
-                for pos, k in zip(acc, ids):
-                    m = marches[k]
-                    m.history.append(t[k], res.x[pos])
-                    m.report.steps_accepted += 1
-                    if tracer is not None:
-                        tracer.count("batch.tran.steps_accepted")
+                group.update_state_lanes(ids, X[ids], be[acc], ha[acc])
+                n_accepted[ids] += 1
+                for k, t_k, x_k in zip(ids, t[ids].tolist(), res.x[acc]):
+                    marches[k].history.append(t_k, x_k)
+                if tracer is not None:
+                    tracer.count("batch.tran.steps_accepted", int(acc.size))
 
         lanes: list = []
         errors: list = []
         for k, m in enumerate(marches):
+            m.report.steps_accepted = int(n_accepted[k])
+            m.report.steps_rejected_dv = int(n_rejected[k])
+            m.report.total_halvings = int(n_halved[k])
             if m.error is not None:
                 lanes.append(None)
                 errors.append(m.error)

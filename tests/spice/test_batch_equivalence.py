@@ -26,6 +26,9 @@ Plus the containment properties the batched Newton claims:
   bitwise identical to a clean run.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +44,16 @@ import repro.spice.batch as batch_module
 from repro.spice.batch import (
     BatchTransient, BatchUnsupported, LaneGroup, _solve_stack,
 )
-from repro.spice.devices import Dc, Resistor
-from repro.spice.newton import NewtonOptions, newton_solve, solve_dc
+from repro.runtime import telemetry
+from repro.runtime.policy import RetryPolicy
+from repro.spice.devices import Dc, Pwl, Resistor
+from repro.spice.devices.mosfet import Mosfet
+from repro.spice.integration import (
+    BACKWARD_EULER, TRAPEZOIDAL, IntegratorState,
+)
+from repro.spice.newton import (
+    NewtonOptions, newton_solve, solve_dc, solve_stats,
+)
 from repro.spice.transient import Transient, TransientOptions
 
 pytestmark = pytest.mark.batch
@@ -92,6 +103,28 @@ def serial_results():
 @pytest.fixture(scope="module")
 def batched_result():
     return BatchTransient(_lane_circuits(), T_STOP, _options()).run()
+
+
+def _solve_delta(run):
+    """``run()``'s result and the global solve counters it added."""
+    before = solve_stats()
+    result = run()
+    after = solve_stats()
+    return result, {k: after[k] - before[k] for k in after}
+
+
+@pytest.fixture(scope="module")
+def batched_work():
+    """The :func:`batched_result` run repeated untraced and traced,
+    with the work each one did."""
+    def run():
+        return BatchTransient(_lane_circuits(), T_STOP, _options()).run()
+
+    _, untraced = _solve_delta(run)
+    tracer = telemetry.CollectingTracer()
+    with telemetry.trace(tracer):
+        _, traced = _solve_delta(run)
+    return untraced, traced, tracer.counters
 
 
 # -- structural gate ------------------------------------------------------
@@ -198,6 +231,112 @@ class TestBitwiseTransientParity:
                     s.steps_rejected_dv, s.total_halvings), f"lane {k}"
 
 
+class TestWorkPins:
+    """The lane kernel's work on the 4-lane run, pinned: a change that
+    keeps every bit but iterates more (or less) shows up here."""
+
+    def test_untraced_solve_counters(self, batched_work):
+        untraced, _, _ = batched_work
+        assert untraced == {"solves": 1130, "iterations": 3021}
+
+    def test_traced_solve_counters(self, batched_work):
+        # Under a tracer the DC rung's failures go down the serial
+        # ladder, so the traced run does a little more work.
+        _, traced, _ = batched_work
+        assert traced == {"solves": 1131, "iterations": 3171}
+
+    def test_traced_batch_counters(self, batched_work):
+        _, _, counters = batched_work
+        assert {name: counters.get(name) for name in (
+            "batch.newton.iterations", "batch.newton.lane_iterations",
+            "batch.tran.super_steps", "batch.tran.steps_accepted")} == {
+            "batch.newton.iterations": 919,
+            "batch.newton.lane_iterations": 2826,
+            "batch.tran.super_steps": 292,
+            "batch.tran.steps_accepted": 1090}
+
+
+# -- stacked base-matrix rebuild vs the plan's own ------------------------
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality (np.array_equal would let -0.0 match 0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedBaseRebuild:
+    def _check(self, group, lane_ids, be, dt, gmin):
+        times = np.zeros(len(lane_ids))
+        group._begin_solve_batch(np.asarray(lane_ids, dtype=np.intp),
+                                 times, be, dt, gmin, 1.0)
+        for pos, lane in enumerate(lane_ids):
+            integrator = None if be is None else IntegratorState(
+                BACKWARD_EULER if be[pos] else TRAPEZOIDAL, float(dt[pos]))
+            # A fresh plan of the same circuit: the oracle's cache must
+            # not be the one under test.
+            plan = _lane_circuit(lane).assembly_plan()
+            expected = plan.base_matrix(integrator, gmin)
+            assert _same_bits(group._base_stack[lane], expected), \
+                f"lane {lane} ({integrator}, gmin={gmin:g})"
+
+    def test_transient_mixed_methods_and_dts(self):
+        group = LaneGroup(_lane_circuits())
+        # Mixed BE/TRAP, two lanes on one dt, then a second regime
+        # where only some lanes change (the rest keep their block).
+        self._check(group, [0, 1, 2, 3],
+                    np.array([True, False, True, False]),
+                    np.array([1e-12, 1e-12, 3.7e-12, 2.5e-13]), 1e-12)
+        self._check(group, [0, 1, 2, 3],
+                    np.array([False, False, True, True]),
+                    np.array([1e-12, 1e-12, 3.7e-12, 4.1e-11]), 1e-12)
+        self._check(group, [1, 3], np.array([True, True]),
+                    np.array([6e-12, 6e-12]), 1e-12)
+
+    def test_dc_at_every_default_gmin_rung(self):
+        group = LaneGroup(_lane_circuits())
+        rungs = RetryPolicy().gmin_ladder + (NewtonOptions().gmin,)
+        for gmin in rungs:
+            self._check(group, [0, 1, 2, 3], None, None, gmin)
+        # Back to a transient regime after DC, as a transient run does.
+        self._check(group, [0, 2], np.array([True, False]),
+                    np.array([2e-12, 2e-12]), NewtonOptions().gmin)
+
+    def test_untraced_lane_transient_fills_no_plan_cache(self):
+        # The memory claim's oracle: the lane path keeps each lane's
+        # live base in its own stack, never in the plans' LRU caches.
+        run = BatchTransient(_lane_circuits(), T_STOP, _options())
+        result = run.run()
+        assert all(result.ok(k) for k in range(N_LANES))
+        assert all(not ws.plan._base_cache for ws in run.group.workspaces)
+        # Control: the serial engine on the same circuit does fill it.
+        circuit = _lane_circuit(0)
+        Transient(circuit, T_STOP, _options()).run()
+        assert circuit.assembly_plan()._base_cache
+
+
+# -- vectorized waveform sources -----------------------------------------
+
+@pytest.mark.filterwarnings("error")
+def test_one_point_pwl_lanes_is_its_constant():
+    t = np.array([0.0, 2e-9])
+    t_pts = np.array([1e-9])
+    v_rows = np.array([[0.5], [0.7]])
+    out = LaneGroup._pwl_value_lanes(t, t_pts, v_rows)
+    serial = [Pwl([(1e-9, v)]).value(tk) for v, tk in zip((0.5, 0.7),
+                                                           t.tolist())]
+    assert out.tolist() == serial == [0.5, 0.7]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pwl_lanes_match_serial_inside_and_outside():
+    points = [(0.0, 0.0), (1e-9, 1.2), (2e-9, 0.4)]
+    t = np.array([-1e-9, 0.0, 0.3e-9, 1e-9, 1.7e-9, 2e-9, 5e-9])
+    t_pts = np.array([p for p, _ in points])
+    v_rows = np.tile([v for _, v in points], (t.size, 1))
+    out = LaneGroup._pwl_value_lanes(t, t_pts, v_rows)
+    assert out.tolist() == [Pwl(points).value(tk) for tk in t.tolist()]
+
+
 class TestBitwiseDcParity:
     def test_solve_dc_matches_serial_ladder(self):
         # The sstvs bench DC needs the retry ladder (plain Newton from
@@ -218,8 +357,7 @@ class TestBitwiseDcParity:
         circuits = _lane_circuits(3)
         seeds = np.stack([solve_dc(_lane_circuit(k)) for k in range(3)])
         group = LaneGroup(circuits)
-        res = group.newton(np.arange(3), seeds, times=[0.0] * 3,
-                           integrators=[None] * 3)
+        res = group.newton(np.arange(3), seeds)
         assert res.converged.all()
         for k in range(3):
             x_serial = newton_solve(_lane_circuit(k), seeds[k].copy())
@@ -230,7 +368,6 @@ class TestBitwiseDcParity:
         circuits = _lane_circuits(2)
         group = LaneGroup(circuits)
         res = group.newton(np.arange(2), np.zeros((2, group.size)),
-                           times=[0.0, 0.0], integrators=[None, None],
                            options=opts)
         assert not res.converged.any()
         for k in range(2):
@@ -331,13 +468,9 @@ class TestLaneMasking:
         # iterations per lane), not just for quick converging solves.
         group = LaneGroup(_lane_circuits())
         full = group.newton(np.arange(N_LANES),
-                            np.zeros((N_LANES, group.size)),
-                            times=[0.0] * N_LANES,
-                            integrators=[None] * N_LANES)
+                            np.zeros((N_LANES, group.size)))
         part = group.newton(np.asarray(subset),
-                            np.zeros((len(subset), group.size)),
-                            times=[0.0] * len(subset),
-                            integrators=[None] * len(subset))
+                            np.zeros((len(subset), group.size)))
         for pos, k in enumerate(subset):
             assert np.array_equal(part.x[pos], full.x[k]), f"lane {k}"
             assert part.converged[pos] == full.converged[k]
@@ -401,17 +534,53 @@ class TestFaultContainment:
     def test_nan_iterate_evicts_only_its_lane(self):
         group = LaneGroup(_lane_circuits(3))
         x0 = np.zeros((3, group.size))
-        clean = group.newton(np.arange(3), x0, times=[0.0] * 3,
-                             integrators=[None] * 3)
+        clean = group.newton(np.arange(3), x0)
         x0[1, 0] = np.nan
-        mixed = group.newton(np.arange(3), x0, times=[0.0] * 3,
-                             integrators=[None] * 3)
+        mixed = group.newton(np.arange(3), x0)
         assert not mixed.converged[1]
         assert "non-finite solution at iteration 0" in mixed.errors[1]
         for k in (0, 2):
             assert np.array_equal(mixed.x[k], clean.x[k])
             assert mixed.converged[k] == clean.converged[k]
             assert mixed.errors[k] == clean.errors[k]
+
+    def test_leaving_lanes_keep_their_exit_rows(self):
+        # One lane converges at once, one exhausts the budget, and one
+        # (MOSFETs at 1e-200 K: the EKV current is 0 * inf once a
+        # device turns on) goes non-finite mid-call. Each lane's row is
+        # the iterate it held when it left; the digests were recorded
+        # before the alive set was kept compact.
+        circuits = _lane_circuits(3)
+        for device in circuits[2]:
+            if type(device) is Mosfet:
+                device.params = dataclasses.replace(device.params,
+                                                    temperature=1e-200)
+        group = LaneGroup(circuits)
+        x0 = np.zeros((3, group.size))
+        x0[0] = solve_dc(_lane_circuit(0))
+        res = group.newton(np.arange(3), x0,
+                           options=NewtonOptions(max_iterations=12))
+        assert res.converged.tolist() == [True, False, False]
+        assert res.iterations.tolist() == [1, 12, 2]
+        assert res.errors == [
+            None,
+            "Newton failed to converge in 12 iterations "
+            "(last max dV = 3.388e-02 V)",
+            "non-finite solution at iteration 2"]
+        digests = [hashlib.sha256(",".join(
+            float(v).hex() for v in row).encode()).hexdigest()
+            for row in res.x]
+        assert digests == [
+            "47205384f942176626d8b6a0bf9e3695"
+            "dfc53beecbae283dfdcafcb56d8e8614",
+            "a949b04ef0596f4cdc8c9bd601e67ebb"
+            "6e069e61d5e8cf82c2ba8879bd764f66",
+            "66156677faf1c1b5bf6c3ca94e265171"
+            "ed70add7fe6d2d51b2152d36b27c00ad"]
+        # The converged lane is bitwise the serial solve.
+        assert np.array_equal(res.x[0], newton_solve(
+            _lane_circuit(0), x0[0].copy(),
+            options=NewtonOptions(max_iterations=12)))
 
 
 # -- eviction to the serial ladder ---------------------------------------

@@ -195,13 +195,11 @@ class TestSingularLanes:
         x0 = np.zeros((2, group_s.size))
         x0[1, 0] = np.nan
         res_sparse = group_s.newton(
-            np.arange(2), x0.copy(), times=[0.0, 0.0],
-            integrators=[None, None],
+            np.arange(2), x0.copy(),
             options=NewtonOptions(solver="sparse"))
         group_d = LaneGroup([_lane_circuit(0), _lane_circuit(1)])
         res_dense = group_d.newton(
-            np.arange(2), x0.copy(), times=[0.0, 0.0],
-            integrators=[None, None],
+            np.arange(2), x0.copy(),
             options=NewtonOptions(solver="dense"))
         assert not res_sparse.converged[1] and not res_dense.converged[1]
         assert res_sparse.errors[1] == res_dense.errors[1]
@@ -235,8 +233,7 @@ class TestTestbenchRegimes:
         circuits = [_lane_circuit(k) for k in range(3)]
         seeds = np.stack([solve_dc(_lane_circuit(k)) for k in range(3)])
         group = LaneGroup(circuits)
-        res = group.newton(np.arange(3), seeds.copy(), times=[0.0] * 3,
-                           integrators=[None] * 3, options=opts)
+        res = group.newton(np.arange(3), seeds.copy(), options=opts)
         assert res.converged.all()
         for k in range(3):
             x_serial = newton_solve(_lane_circuit(k), seeds[k].copy(),
@@ -272,11 +269,9 @@ class TestTestbenchRegimes:
         circuits = [_lane_circuit(k) for k in range(2)]
         seeds = np.stack([solve_dc(_lane_circuit(k)) for k in range(2)])
         group = LaneGroup(circuits)
-        dense = group.newton(np.arange(2), seeds.copy(), times=[0.0] * 2,
-                             integrators=[None] * 2,
+        dense = group.newton(np.arange(2), seeds.copy(),
                              options=NewtonOptions(solver="dense"))
         sparse = group.newton(np.arange(2), seeds.copy(),
-                              times=[0.0] * 2, integrators=[None] * 2,
                               options=NewtonOptions(solver="sparse"))
         assert dense.converged.all() and sparse.converged.all()
         np.testing.assert_allclose(sparse.x, dense.x, rtol=1e-7,
@@ -294,7 +289,6 @@ class TestTestbenchRegimes:
         for gmin in (1e-6, 1e-11, 1e-12, 1e-13):
             seed = solve_dc(_lane_circuit(2))
             res = group.newton(np.arange(1), seed[None].copy(),
-                               times=[0.0], integrators=[None],
                                options=opts, gmin=gmin)
             try:
                 x_serial = newton_solve(circuit, seed.copy(),
