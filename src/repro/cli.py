@@ -114,6 +114,18 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite value above 0 (exit 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _add_workers_arg(parser, help_text: str) -> None:
     parser.add_argument("--workers", type=_positive_int,
                         default=usable_cpus(),
@@ -854,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="delay surfaces (Figures 8/9)")
     p.add_argument("kind", nargs="?", default="sstvs",
                    choices=cell_names(), metavar="kind")
-    p.add_argument("--step", type=float, default=0.2)
+    p.add_argument("--step", type=_positive_float, default=0.2)
     _add_pdk_arg(p)
     _add_campaign_args(p)
     p.set_defaults(func=cmd_sweep)
@@ -873,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("functional", help="full-grid conversion check")
     p.add_argument("kind", nargs="?", default="sstvs",
                    choices=cell_names(), metavar="kind")
-    p.add_argument("--step", type=float, default=0.2)
+    p.add_argument("--step", type=_positive_float, default=0.2)
     _add_pdk_arg(p)
     _add_campaign_args(p)
     _add_backend_arg(p)
@@ -988,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_id")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="artifact-store root (default: results)")
-    p.add_argument("--limit", type=int, default=20,
+    p.add_argument("--limit", type=_non_negative_int, default=20,
                    help="rows to print (0 = all)")
     p.set_defaults(func=cmd_show)
 
@@ -1056,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_id")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="artifact-store root (default: results)")
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--limit", type=_non_negative_int, default=10,
                    help="outlier rows to print")
     p.set_defaults(func=cmd_trace)
 

@@ -3,11 +3,7 @@
 from repro.soc.domain import (
     Crossing, DvsSchedule, Module, VoltageDomain, relationship_flips,
 )
-from repro.soc.dvs import (
-    DEFAULT_LADDER, PairStatistics, pair_statistics, periodic_schedule,
-    random_walk_schedule, true_shifter_demand,
-)
-from repro.soc.energy import CrossingEnergyModel, EnergyReport
+from repro.soc.dvs import DEFAULT_LADDER, periodic_schedule
 from repro.soc.planner import (
     COMBINED_STRATEGY, CVS_STRATEGY, INVERTER_STRATEGY, PlanReport,
     STRATEGIES, SSTVS_STRATEGY, SSVS_STRATEGY, ShifterPlanner, Soc,
@@ -29,11 +25,5 @@ __all__ = [
     "INVERTER_STRATEGY",
     "SSVS_STRATEGY",
     "DEFAULT_LADDER",
-    "PairStatistics",
-    "pair_statistics",
     "periodic_schedule",
-    "random_walk_schedule",
-    "true_shifter_demand",
-    "CrossingEnergyModel",
-    "EnergyReport",
 ]

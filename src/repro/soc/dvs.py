@@ -1,21 +1,14 @@
-"""DVS schedule generation and domain-pair statistics.
+"""DVS schedule generation.
 
-Generators for the schedule shapes the DVS literature the paper cites
-uses (step workloads, periodic race-to-idle, random walks over a
-voltage ladder), plus pairwise statistics that quantify how often a
-true level shifter is *required* on an SoC: the fraction of time, and
-the number of flips, for which a static direction choice would be
-wrong.
+The paper's DVS voltage ladder and a periodic race-to-idle schedule,
+which the floorplanner's synthetic design generator uses to give DVS
+domains their supply schedules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.errors import AnalysisError
-from repro.soc.domain import DvsSchedule, relationship_flips
+from repro.soc.domain import DvsSchedule
 
 #: The paper's DVS voltage ladder [V].
 DEFAULT_LADDER = (0.8, 1.0, 1.2, 1.4)
@@ -35,91 +28,3 @@ def periodic_schedule(high: float, low: float, period: float,
         points.append((t0, high))
         points.append((t0 + duty * period, low))
     return DvsSchedule(tuple(points))
-
-
-def random_walk_schedule(rng: np.random.Generator,
-                         ladder=DEFAULT_LADDER, steps: int = 8,
-                         dwell: float = 5.0,
-                         start_index: int | None = None) -> DvsSchedule:
-    """Random walk over a voltage ladder with fixed dwell times.
-
-    Models a governor reacting to an unpredictable workload: each dwell
-    the voltage moves up, down, or holds, clamped to the ladder.
-    """
-    if steps < 1:
-        raise AnalysisError("need at least one step")
-    ladder = sorted(ladder)
-    index = (rng.integers(0, len(ladder))
-             if start_index is None else int(start_index))
-    index = int(np.clip(index, 0, len(ladder) - 1))
-    points = [(0.0, ladder[index])]
-    for k in range(1, steps):
-        index = int(np.clip(index + rng.integers(-1, 2), 0,
-                            len(ladder) - 1))
-        points.append((k * dwell, ladder[index]))
-    # Collapse consecutive holds into one point.
-    collapsed = [points[0]]
-    for t, v in points[1:]:
-        if v != collapsed[-1][1]:
-            collapsed.append((t, v))
-    return DvsSchedule(tuple(collapsed))
-
-
-@dataclass(frozen=True)
-class PairStatistics:
-    """How a domain pair behaves over a time horizon."""
-
-    flips: int
-    fraction_up: float      #: time fraction with Va < Vb (needs up-shift)
-    fraction_down: float    #: time fraction with Va > Vb
-    fraction_equal: float
-    needs_true_shifter: bool
-
-    def summary(self) -> str:
-        return (f"flips={self.flips}, up={self.fraction_up:.0%}, "
-                f"down={self.fraction_down:.0%}, "
-                f"equal={self.fraction_equal:.0%}"
-                + (", TRUE shifter required"
-                   if self.needs_true_shifter else ""))
-
-
-def pair_statistics(a: DvsSchedule, b: DvsSchedule,
-                    horizon: float) -> PairStatistics:
-    """Time-weighted relationship statistics over [0, horizon]."""
-    if horizon <= 0:
-        raise AnalysisError("horizon must be positive")
-    times = sorted(set([0.0, horizon] +
-                       [t for t in a.change_times() if t < horizon] +
-                       [t for t in b.change_times() if t < horizon]))
-    up = down = equal = 0.0
-    for t0, t1 in zip(times, times[1:]):
-        va, vb = a.voltage_at(t0), b.voltage_at(t0)
-        span = t1 - t0
-        if abs(va - vb) < 1e-12:
-            equal += span
-        elif va < vb:
-            up += span
-        else:
-            down += span
-    flips = relationship_flips(a, b)
-    return PairStatistics(
-        flips=flips,
-        fraction_up=up / horizon,
-        fraction_down=down / horizon,
-        fraction_equal=equal / horizon,
-        needs_true_shifter=(flips > 0 or (up > 0 and down > 0)))
-
-
-def true_shifter_demand(schedules: dict, horizon: float) -> dict:
-    """Pairwise statistics for every ordered domain pair.
-
-    Returns ``{(name_a, name_b): PairStatistics}`` for a != b.
-    """
-    result = {}
-    names = sorted(schedules)
-    for a in names:
-        for b in names:
-            if a != b:
-                result[(a, b)] = pair_statistics(schedules[a],
-                                                 schedules[b], horizon)
-    return result

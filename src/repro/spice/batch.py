@@ -177,6 +177,9 @@ class _LaneMarch:
     history: _LaneHistory
     report: TransientReport = field(default_factory=TransientReport)
     error: str | None = None
+    #: What the serial ConvergenceError for ``error`` carries: the
+    #: failed DC ladder's SolveReport, or ``report`` after a stall.
+    error_report: SolveReport | TransientReport | None = None
 
 
 def _integrator(be, dt, k: int) -> Optional[IntegratorState]:
@@ -960,7 +963,8 @@ class LaneGroup:
         ``(X, reports, errors)`` where ``reports[k]`` is the ladder's
         :class:`SolveReport` (None for lanes the batched rung solved)
         and ``errors[k]`` carries the final ConvergenceError text for
-        lanes the ladder lost too.
+        lanes the ladder lost too; a lost lane's report is the one that
+        error carries.
         """
         opts = options or NewtonOptions()
         nc = self.n_lanes
@@ -996,6 +1000,7 @@ class LaneGroup:
                     workspace=self.workspaces[k])
             except ConvergenceError as exc:
                 errors[k] = str(exc)
+                reports[k] = exc.report
                 continue
             X[k] = x
             reports[k] = report
@@ -1093,8 +1098,7 @@ class LaneGroup:
             rep = ladder_reports[k]
             rep.converged = False
             rep.wall_time_s = _time.monotonic() - started
-            # The serial eviction surfaces a failed ladder through the
-            # ConvergenceError text alone (reports[k] stays None).
+            reports[k] = rep
             errors[k] = (
                 f"DC solution not found for circuit "
                 f"{self.circuits[k].title!r} after "
@@ -1105,12 +1109,15 @@ class LaneGroup:
 class BatchTransientResult:
     """Per-lane transient results plus a shared interpolation grid."""
 
-    def __init__(self, lanes: list, errors: list):
+    def __init__(self, lanes: list, errors: list, reports: list):
         #: Per-lane :class:`TransientResult` (None where the lane died).
         self.lanes = lanes
         #: Per-lane failure text (None where the lane completed) —
         #: the message the serial engine's ConvergenceError would carry.
         self.errors = errors
+        #: Per-lane report that ConvergenceError would carry (None
+        #: where the lane completed).
+        self.reports = reports
 
     @property
     def n_lanes(self) -> int:
@@ -1119,7 +1126,7 @@ class BatchTransientResult:
     def lane(self, k: int) -> TransientResult:
         """The lane's result; raises the deferred stall if it died."""
         if self.lanes[k] is None:
-            raise ConvergenceError(self.errors[k])
+            raise ConvergenceError(self.errors[k], report=self.reports[k])
         return self.lanes[k]
 
     def ok(self, k: int) -> bool:
@@ -1242,6 +1249,7 @@ class BatchTransient:
             for k, march in enumerate(marches):
                 if dc_errors[k] is not None:
                     march.error = dc_errors[k]
+                    march.error_report = dc_reports[k]
                     march.report.stalled = True
                     continue
                 X[k] = x_dc[k]
@@ -1271,6 +1279,7 @@ class BatchTransient:
         def _stall(k: int, reason: str) -> None:
             group.sync_state_lane(k)
             marches[k].report.stalled = True
+            marches[k].error_report = marches[k].report
             marches[k].error = (
                 f"transient stalled at t={t[k]:.6e}s with "
                 f"h={h[k]:.3e}s in circuit "
@@ -1370,10 +1379,12 @@ class BatchTransient:
 
         lanes: list = []
         errors: list = []
+        reports: list = []
         for k, m in enumerate(marches):
             m.report.steps_accepted = int(n_accepted[k])
             m.report.steps_rejected_dv = int(n_rejected[k])
             m.report.total_halvings = int(n_halved[k])
+            reports.append(m.error_report)
             if m.error is not None:
                 lanes.append(None)
                 errors.append(m.error)
@@ -1383,4 +1394,4 @@ class BatchTransient:
             lanes.append(TransientResult(group.circuits[k], times, states,
                                          report=m.report))
             errors.append(None)
-        return BatchTransientResult(lanes, errors)
+        return BatchTransientResult(lanes, errors, reports)

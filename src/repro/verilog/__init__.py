@@ -1,18 +1,9 @@
-"""Structural Verilog subset: parsing, writing, engine bridges."""
+"""Structural Verilog subset: parsing gate-level netlists."""
 
-from repro.verilog.parser import (
-    VerilogInstance, VerilogModule, parse_verilog, write_verilog,
-)
-from repro.verilog.bridge import (
-    LOGIC_CELL_REGISTRY, to_gate_netlist, to_logic_simulator,
-)
+from repro.verilog.parser import VerilogInstance, VerilogModule, parse_verilog
 
 __all__ = [
     "VerilogModule",
     "VerilogInstance",
     "parse_verilog",
-    "write_verilog",
-    "to_gate_netlist",
-    "to_logic_simulator",
-    "LOGIC_CELL_REGISTRY",
 ]

@@ -10,9 +10,8 @@ Supports the subset produced by synthesis for this study's flows:
 
 * ``//`` line comments and ``/* */`` block comments.
 
-Instances map onto :class:`repro.sta.GateNetlist` (for timing) or the
-event-driven simulator (for logic), via the bridge helpers in
-:mod:`repro.verilog.bridge`.
+The floorplanner's :func:`repro.floorplan.design.design_from_verilog`
+turns a parsed module into a floorplan design.
 """
 
 from __future__ import annotations
@@ -125,20 +124,3 @@ def parse_verilog(text: str) -> dict[str, VerilogModule]:
     if not matched_any:
         raise NetlistError("no module found in the Verilog source")
     return modules
-
-
-def write_verilog(module: VerilogModule) -> str:
-    """Render a module back to structural Verilog."""
-    lines = [f"module {module.name} ({', '.join(module.ports)});"]
-    for kind, nets in (("input", module.inputs),
-                       ("output", module.outputs),
-                       ("wire", module.wires)):
-        if nets:
-            lines.append(f"  {kind} {', '.join(nets)};")
-    lines.append("")
-    for inst in module.instances:
-        conns = ", ".join(f".{port}({net})" for port, net
-                          in inst.connections.items())
-        lines.append(f"  {inst.cell} {inst.name} ({conns});")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"

@@ -1,14 +1,9 @@
-"""Tests for DVS schedule generation and pair statistics."""
+"""Tests for DVS schedule generation."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.soc.domain import DvsSchedule
-from repro.soc.dvs import (
-    DEFAULT_LADDER, pair_statistics, periodic_schedule,
-    random_walk_schedule, true_shifter_demand,
-)
+from repro.soc.dvs import periodic_schedule
 
 
 class TestPeriodicSchedule:
@@ -26,81 +21,3 @@ class TestPeriodicSchedule:
     def test_bad_period(self):
         with pytest.raises(AnalysisError):
             periodic_schedule(1.2, 0.8, 0.0)
-
-
-class TestRandomWalk:
-    def test_values_on_ladder(self):
-        rng = np.random.default_rng(1)
-        sched = random_walk_schedule(rng, steps=20)
-        for _, v in sched.points:
-            assert v in DEFAULT_LADDER
-
-    def test_reproducible(self):
-        a = random_walk_schedule(np.random.default_rng(7), steps=12)
-        b = random_walk_schedule(np.random.default_rng(7), steps=12)
-        assert a.points == b.points
-
-    def test_consecutive_holds_collapsed(self):
-        rng = np.random.default_rng(3)
-        sched = random_walk_schedule(rng, steps=30)
-        voltages = [v for _, v in sched.points]
-        assert all(x != y for x, y in zip(voltages, voltages[1:]))
-
-    def test_start_index_respected(self):
-        rng = np.random.default_rng(0)
-        sched = random_walk_schedule(rng, steps=1, start_index=2)
-        assert sched.points[0][1] == sorted(DEFAULT_LADDER)[2]
-
-
-class TestPairStatistics:
-    def test_static_pair(self):
-        stats = pair_statistics(DvsSchedule.constant(0.8),
-                                DvsSchedule.constant(1.2), horizon=10.0)
-        assert stats.fraction_up == pytest.approx(1.0)
-        assert stats.flips == 0
-        assert not stats.needs_true_shifter
-
-    def test_flipping_pair_needs_true(self):
-        a = DvsSchedule(((0.0, 1.2), (5.0, 0.7)))
-        b = DvsSchedule.constant(0.9)
-        stats = pair_statistics(a, b, horizon=10.0)
-        assert stats.flips == 1
-        assert stats.needs_true_shifter
-        assert stats.fraction_down == pytest.approx(0.5)
-        assert stats.fraction_up == pytest.approx(0.5)
-
-    def test_equal_fraction(self):
-        a = DvsSchedule(((0.0, 1.0), (5.0, 1.2)))
-        b = DvsSchedule.constant(1.0)
-        stats = pair_statistics(a, b, horizon=10.0)
-        assert stats.fraction_equal == pytest.approx(0.5)
-
-    def test_bad_horizon(self):
-        with pytest.raises(AnalysisError):
-            pair_statistics(DvsSchedule.constant(1.0),
-                            DvsSchedule.constant(1.0), horizon=0.0)
-
-    def test_summary_flags_true_requirement(self):
-        a = DvsSchedule(((0.0, 1.2), (5.0, 0.7)))
-        stats = pair_statistics(a, DvsSchedule.constant(0.9), 10.0)
-        assert "TRUE shifter required" in stats.summary()
-
-
-class TestDemandMatrix:
-    def test_all_ordered_pairs(self):
-        schedules = {"a": DvsSchedule.constant(0.8),
-                     "b": DvsSchedule.constant(1.2),
-                     "c": DvsSchedule.constant(1.0)}
-        demand = true_shifter_demand(schedules, horizon=10.0)
-        assert len(demand) == 6
-        assert demand[("a", "b")].fraction_up == pytest.approx(1.0)
-
-    def test_dvs_domain_dominates_demand(self):
-        rng = np.random.default_rng(5)
-        schedules = {"dvs": random_walk_schedule(rng, steps=20,
-                                                 dwell=1.0),
-                     "fixed": DvsSchedule.constant(1.0)}
-        demand = true_shifter_demand(schedules, horizon=20.0)
-        # A random walk across the full ladder crosses 1.0 V at least
-        # once with this seed.
-        assert demand[("dvs", "fixed")].needs_true_shifter

@@ -46,6 +46,7 @@ from repro.spice.batch import (
 )
 from repro.runtime import telemetry
 from repro.runtime.policy import RetryPolicy
+from repro.runtime.report import SolveReport
 from repro.spice.devices import Dc, Pwl, Resistor
 from repro.spice.devices.mosfet import Mosfet
 from repro.spice.integration import (
@@ -520,6 +521,35 @@ class TestFaultContainment:
         assert poisoned_run.errors[1] == str(err.value)
         with pytest.raises(ConvergenceError):
             poisoned_run.lane(1)
+
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_poisoned_lane_error_carries_serial_report(self, poisoned_run,
+                                                       traced):
+        # Untraced, the DC ladder runs batched; traced, the lane is
+        # evicted to the serial ladder. Either way the lane's error
+        # carries the failed ladder's report, as the serial one does.
+        poisoned = _lane_circuit(1)
+        _poison(poisoned)
+        with pytest.raises(ConvergenceError) as serial:
+            Transient(poisoned, T_STOP, _options()).run()
+        run = poisoned_run
+        if traced:
+            circuits = _lane_circuits(2)
+            _poison(circuits[1])
+            with telemetry.trace(telemetry.CollectingTracer()):
+                run = BatchTransient(circuits, T_STOP, _options()).run()
+        with pytest.raises(ConvergenceError) as lane:
+            run.lane(1)
+        assert str(lane.value) == str(serial.value)
+        ours, theirs = lane.value.report, serial.value.report
+        assert type(ours) is type(theirs) is SolveReport
+        assert ours.strategy_summary() == theirs.strategy_summary()
+
+        def attempts(report):
+            return [(a.strategy, a.detail, a.iterations, a.converged)
+                    for a in report.attempts]
+        assert attempts(ours) == attempts(theirs)
 
     def test_neighbors_stay_bitwise_clean(self, poisoned_run,
                                           serial_results):

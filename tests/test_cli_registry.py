@@ -87,6 +87,32 @@ class TestErrorPaths:
         assert message.startswith("usage:")
         assert flag in message and repr(value) in message
 
+    @pytest.mark.parametrize("argv,value", [
+        (argv, value)
+        for argv, values in (
+            (["sweep", "--step"], ("0", "-0.1", "nan", "inf", "fine")),
+            (["functional", "--step"], ("0", "-0.1", "nan", "inf", "fine")),
+            (["show", "some-run", "--limit"], ("-1", "two")),
+            (["trace", "some-run", "--limit"], ("-1", "two")),
+        )
+        for value in values
+    ], ids=lambda param: (param[0] if isinstance(param, list) else param))
+    def test_bad_step_and_limit_exit_2_with_usage(self, argv, value,
+                                                  tmp_path, capsys):
+        store = tmp_path / "results"
+        with pytest.raises(SystemExit) as err:
+            main(argv + [value, "--out", str(store)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("usage:")
+        assert argv[-1] in message and repr(value) in message
+        assert not store.exists()
+
+    def test_zero_limit_and_small_step_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["show", "r", "--limit", "0"]).limit == 0
+        assert parser.parse_args(["sweep", "--step", "0.05"]).step == 0.05
+
     def test_zero_floorplan_moves_parse(self):
         args = build_parser().parse_args(["floorplan", "--moves", "0",
                                           "--restarts", "2"])

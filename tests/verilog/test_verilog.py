@@ -1,12 +1,9 @@
-"""Tests for the structural Verilog subset and its engine bridges."""
+"""Tests for the structural Verilog subset parser."""
 
 import pytest
 
 from repro.errors import NetlistError
-from repro.logicsim import SupplyState
-from repro.verilog import (
-    parse_verilog, to_gate_netlist, to_logic_simulator, write_verilog,
-)
+from repro.verilog import parse_verilog
 
 SIMPLE = """
 // two-inverter buffer
@@ -112,85 +109,3 @@ endmodule
     def test_empty_source_rejected(self):
         with pytest.raises(NetlistError, match="no module"):
             parse_verilog("wire x;")
-
-
-class TestWriter:
-    def test_roundtrip(self):
-        module = parse_verilog(SIMPLE)["buf2"]
-        text = write_verilog(module)
-        again = parse_verilog(text)["buf2"]
-        assert again.inputs == module.inputs
-        assert len(again.instances) == len(module.instances)
-        assert again.instances[0].connections == \
-            module.instances[0].connections
-
-
-class TestStaBridge:
-    def test_gate_netlist_structure(self):
-        module = parse_verilog(SIMPLE)["buf2"]
-        netlist = to_gate_netlist(module)
-        assert netlist.primary_inputs == ["a"]
-        assert netlist.primary_outputs == ["y"]
-        order = [i.name for i in netlist.topological_instances()]
-        assert order == ["u1", "u2"]
-
-    def test_missing_pin_rejected(self):
-        text = """
-module m (a, y);
-  input a;
-  output y;
-  INVX1 u1 (.A(a), .Z(y));
-endmodule
-"""
-        module = parse_verilog(text)["m"]
-        with pytest.raises(NetlistError, match=".Y"):
-            to_gate_netlist(module)
-
-
-class TestLogicBridge:
-    CROSSING = """
-module xing (d, q);
-  input d;
-  output q;
-  wire n1, n2;
-  INVX1 drv (.A(d), .Y(n1));
-  SSTVS ls$cpu$dsp (.A(n1), .Y(n2));
-  BUFX1 rx (.A(n2), .Y(q));
-endmodule
-"""
-
-    def _supplies(self):
-        supplies = SupplyState()
-        supplies.set("cpu", 1.2)
-        supplies.set("dsp", 1.0)
-        return supplies
-
-    def test_simulates(self):
-        module = parse_verilog(self.CROSSING)["xing"]
-        sim = to_logic_simulator(module, self._supplies())
-        sim.set_input("d", "1")
-        sim.run(1e-9)
-        # Two inversions (driver + inverting shifter) + buffer.
-        assert sim.value("q") == "1"
-
-    def test_shifter_name_encodes_domains(self):
-        text = self.CROSSING.replace("ls$cpu$dsp", "ls_no_domains")
-        module = parse_verilog(text)["xing"]
-        with pytest.raises(NetlistError, match="domain"):
-            to_logic_simulator(module, self._supplies())
-
-    def test_unknown_cell_rejected(self):
-        text = self.CROSSING.replace("BUFX1", "FLUXCAP")
-        module = parse_verilog(text)["xing"]
-        with pytest.raises(NetlistError, match="behavioral"):
-            to_logic_simulator(module, self._supplies())
-
-    def test_dvs_corruption_through_verilog(self):
-        text = self.CROSSING.replace("SSTVS", "LSINV")
-        module = parse_verilog(text)["xing"]
-        sim = to_logic_simulator(module, self._supplies())
-        sim.set_input("d", "1")
-        sim.run(1e-9)
-        sim.schedule_supply(2e-9, "cpu", 0.6)
-        sim.run(3e-9)
-        assert sim.value("q") == "x"
