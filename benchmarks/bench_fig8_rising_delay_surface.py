@@ -12,6 +12,7 @@ adjacent-cell delay cliff).
 from benchmarks.conftest import grid_step
 from benchmarks.paper_data import PAPER_VDD_RANGE
 from repro.analysis import SweepGrid, render_surface_ascii, sweep_delay_surface
+from repro.runtime.parallel import usable_cpus
 
 _CACHE = {}
 
@@ -21,7 +22,8 @@ def shared_surface():
     step = grid_step()
     if step not in _CACHE:
         _CACHE[step] = sweep_delay_surface("sstvs",
-                                           SweepGrid.with_step(step))
+                                           SweepGrid.with_step(step),
+                                           workers=usable_cpus())
     return _CACHE[step]
 
 

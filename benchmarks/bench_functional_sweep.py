@@ -10,12 +10,14 @@ exactly where the paper says it must (high-to-low pairs).
 
 from benchmarks.conftest import grid_step
 from repro.analysis import SweepGrid, validate_functionality
+from repro.runtime.parallel import usable_cpus
 
 
 def test_functional_sweep_sstvs(benchmark):
     report = benchmark.pedantic(
         lambda: validate_functionality(
-            "sstvs", SweepGrid.with_step(grid_step())),
+            "sstvs", SweepGrid.with_step(grid_step()),
+            workers=usable_cpus()),
         rounds=1, iterations=1)
     print(f"\n=== Functional sweep (step {grid_step()} V) ===")
     print(report.summary())
@@ -25,7 +27,8 @@ def test_functional_sweep_sstvs(benchmark):
 def test_one_way_shifter_fails_somewhere(benchmark):
     report = benchmark.pedantic(
         lambda: validate_functionality("ssvs_puri",
-                                       SweepGrid.with_step(0.3)),
+                                       SweepGrid.with_step(0.3),
+                                       workers=usable_cpus()),
         rounds=1, iterations=1)
     print(report.summary())
     # The Puri-style SS-VS [13] has the limited range the paper (and

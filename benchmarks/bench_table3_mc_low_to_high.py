@@ -15,12 +15,14 @@ Shape claims checked:
 
 from benchmarks.conftest import mc_runs, print_mc_table
 from repro.analysis import MonteCarloConfig, run_monte_carlo
+from repro.runtime.parallel import usable_cpus
 
 VDDI, VDDO = 0.8, 1.2
 
 
 def _measure():
-    config = MonteCarloConfig(runs=mc_runs(), seed=20080310)
+    config = MonteCarloConfig(runs=mc_runs(), seed=20080310,
+                              workers=usable_cpus())
     sstvs = run_monte_carlo("sstvs", VDDI, VDDO, config)
     combined = run_monte_carlo("combined", VDDI, VDDO, config)
     return sstvs, combined

@@ -154,9 +154,7 @@ def pvt_report(kind: str, vddi: float, vddo: float,
                corners=DEFAULT_CORNERS, temperatures=DEFAULT_TEMPS,
                plan: StimulusPlan | None = None,
                sizing=None, workers: int = 1,
-               resume: ResultSet | None = None,
-               store=None, run_id: str | None = None,
-               cache=None, pdk_node: str = "ptm90") -> PvtReport:
+               pdk_node: str = "ptm90") -> PvtReport:
     """Characterize at every (corner, temperature) combination.
 
     ``workers > 1`` distributes PVT points over a process pool; the
@@ -165,7 +163,5 @@ def pvt_report(kind: str, vddi: float, vddo: float,
     spec = pvt_spec(kind, vddi, vddo, corners=corners,
                     temperatures=temperatures, plan=plan, sizing=sizing,
                     workers=workers, pdk_node=pdk_node)
-    resultset = run_experiment(spec, resume=resume, store=store,
-                               run_id=run_id, cache=cache)
-    return report_from_resultset(resultset, kind=kind, vddi=vddi,
-                                 vddo=vddo)
+    return report_from_resultset(run_experiment(spec), kind=kind,
+                                 vddi=vddi, vddo=vddo)

@@ -79,7 +79,6 @@ def functional_spec(kind: str, grid: SweepGrid | None = None,
                     pdk: Pdk | None = None, sizing=None,
                     workers: int = 1,
                     backend: str | None = None,
-                    batch_width: int = 128,
                     solver: str | None = None) -> ExperimentSpec:
     """Describe a functionality-validation campaign declaratively."""
     grid = grid or SweepGrid.with_step(0.1)
@@ -92,8 +91,7 @@ def functional_spec(kind: str, grid: SweepGrid | None = None,
     return ExperimentSpec(
         name=EXPERIMENT_NAME, measure=_measure, points=points,
         stage="quick_delays", codec="json", workers=workers,
-        backend=backend, batch_measure=_batch_measure,
-        batch_width=batch_width, solver=solver,
+        backend=backend, batch_measure=_batch_measure, solver=solver,
         metadata={"experiment": "functional", "kind": kind,
                   "pairs": len(points),
                   "pdk_node": getattr(pdk, "node", "ptm90")})
@@ -123,25 +121,15 @@ def report_from_resultset(resultset: ResultSet,
 def validate_functionality(kind: str, grid: SweepGrid | None = None,
                            pdk: Pdk | None = None, sizing=None,
                            workers: int = 1,
-                           backend: str | None = None,
-                           batch_width: int = 128,
-                           solver: str | None = None,
-                           resume: ResultSet | None = None,
-                           store=None,
-                           run_id: str | None = None,
-                           cache=None) -> FunctionalReport:
+                           backend: str | None = None) -> FunctionalReport:
     """Check correct level conversion at every grid point.
 
     Pairs run as batched SPMD lanes, and ``workers > 1`` shards them
     over a process pool; ``backend="serial"`` validates one pair at a
     time in-process instead. The report is identical either way (rows
     come back in row-major grid order, and batched lane waveforms are
-    bitwise the serial ones); ``solver`` picks the linear kernel
-    without entering the cache key.
+    bitwise the serial ones).
     """
-    spec = functional_spec(kind, grid, pdk=pdk, sizing=sizing, workers=workers,
-                           backend=backend, batch_width=batch_width,
-                           solver=solver)
-    resultset = run_experiment(spec, resume=resume, store=store,
-                               run_id=run_id, cache=cache)
-    return report_from_resultset(resultset, kind=kind)
+    spec = functional_spec(kind, grid, pdk=pdk, sizing=sizing,
+                           workers=workers, backend=backend)
+    return report_from_resultset(run_experiment(spec), kind=kind)

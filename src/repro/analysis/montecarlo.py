@@ -226,10 +226,7 @@ def run_monte_carlo(kind: str, vddi: float, vddo: float,
                     config: MonteCarloConfig | None = None,
                     sizing=None,
                     progress=None,
-                    resume: ResultSet | None = None,
-                    store=None,
-                    run_id: str | None = None,
-                    cache=None) -> MonteCarloResult:
+                    resume: ResultSet | None = None) -> MonteCarloResult:
     """Characterize ``kind`` over ``config.runs`` process samples.
 
     Args:
@@ -243,16 +240,14 @@ def run_monte_carlo(kind: str, vddi: float, vddo: float,
             samples are carried over and only the remaining indices
             are run. Seed-stable because per-sample seeds derive from
             the sample index.
-        store: optional artifact store (or root path) to persist the
-            run to; the returned result carries the ``run_id``.
 
     Returns a partial result (``interrupted=True``) instead of raising
     on KeyboardInterrupt; per-sample errors are quarantined into
-    ``failures`` rather than raised.
+    ``failures`` rather than raised. To persist or cache the campaign,
+    run :func:`monte_carlo_spec` through :func:`run_experiment` and
+    assemble with :func:`result_from_resultset`.
     """
     spec = monte_carlo_spec(kind, vddi, vddo, config, sizing=sizing)
-    resultset = run_experiment(spec, progress=progress,
-                               resume=resume, store=store,
-                               run_id=run_id, cache=cache)
+    resultset = run_experiment(spec, progress=progress, resume=resume)
     return result_from_resultset(resultset, kind=kind, vddi=vddi,
                                  vddo=vddo)

@@ -211,10 +211,8 @@ def report_from_resultset(resultset: ResultSet,
 
 
 def vtc_report(kind: str, pairs=DEFAULT_PAIRS, pdk: Pdk | None = None,
-               points: int = 121, sizing=None, workers: int = 1,
-               resume: ResultSet | None = None,
-               store=None, run_id: str | None = None,
-               cache=None) -> VtcReport:
+               points: int = 121, sizing=None,
+               workers: int = 1) -> VtcReport:
     """Survey the VTC over several supply pairs.
 
     ``workers > 1`` distributes pairs over a process pool; per-pair
@@ -224,6 +222,4 @@ def vtc_report(kind: str, pairs=DEFAULT_PAIRS, pdk: Pdk | None = None,
     """
     spec = vtc_spec(kind, pairs=pairs, pdk=pdk, points=points,
                     sizing=sizing, workers=workers)
-    resultset = run_experiment(spec, resume=resume, store=store,
-                               run_id=run_id, cache=cache)
-    return report_from_resultset(resultset, kind=kind)
+    return report_from_resultset(run_experiment(spec), kind=kind)

@@ -125,11 +125,7 @@ def metric_sensitivities(kind: str, vddi: float, vddo: float,
                          pdk: Pdk | None = None,
                          base_sizing: SstvsSizing | None = None,
                          plan: StimulusPlan | None = None,
-                         workers: int = 1,
-                         resume: ResultSet | None = None,
-                         store=None, run_id: str | None = None,
-                         cache=None
-                         ) -> dict[str, Sensitivity]:
+                         workers: int = 1) -> dict[str, Sensitivity]:
     """Central-difference log-log sensitivities for each knob.
 
     Only meaningful for the ``"sstvs"`` kind (the sizing dataclass is
@@ -139,9 +135,7 @@ def metric_sensitivities(kind: str, vddi: float, vddo: float,
                             relative_step=relative_step, pdk=pdk,
                             base_sizing=base_sizing, plan=plan,
                             workers=workers)
-    resultset = run_experiment(spec, resume=resume, store=store,
-                               run_id=run_id, cache=cache)
-    return sensitivities_from_resultset(resultset)
+    return sensitivities_from_resultset(run_experiment(spec))
 
 
 def render_sensitivity_table(sensitivities: dict) -> str:

@@ -182,20 +182,16 @@ def surface_from_resultset(resultset: ResultSet,
 
 def sweep_delay_surface(kind: str, grid: SweepGrid | None = None,
                         pdk: Pdk | None = None, sizing=None,
-                        progress=None, workers: int = 1,
-                        resume: ResultSet | None = None,
-                        store=None,
-                        run_id: str | None = None,
-                        cache=None) -> DelaySurface:
+                        progress=None, workers: int = 1) -> DelaySurface:
     """Run :func:`quick_delays` over the grid; returns the surfaces.
 
     Cells run as batched SPMD lanes, and ``workers > 1`` shards them
     over a process pool; cell results are bitwise those of
     :func:`quick_delays` point by point, but ``progress`` fires in
     completion order (with the cell indices attached) rather than
-    row-major order. ``store`` persists the run; ``resume`` accepts a
-    result set reloaded from the artifact store and fills in only the
-    missing cells.
+    row-major order. To persist, resume or cache the sweep, run
+    :func:`sweep_spec` through :func:`run_experiment` and assemble
+    with :func:`surface_from_resultset`.
     """
     grid = grid or SweepGrid()
     spec = sweep_spec(kind, grid, pdk=pdk, sizing=sizing, workers=workers)
@@ -203,9 +199,7 @@ def sweep_delay_surface(kind: str, grid: SweepGrid | None = None,
     if progress is not None:
         def engine_progress(index, q):
             progress(index[0], index[1], q)
-    resultset = run_experiment(spec, progress=engine_progress,
-                               resume=resume, store=store, run_id=run_id,
-                               cache=cache)
+    resultset = run_experiment(spec, progress=engine_progress)
     return surface_from_resultset(resultset, grid)
 
 

@@ -83,18 +83,12 @@ def points_from_resultset(resultset: ResultSet) -> list[TemperaturePoint]:
 def sweep_temperature(kind: str, vddi: float, vddo: float,
                       temperatures=PAPER_TEMPERATURES,
                       sizing=None, workers: int = 1,
-                      resume: ResultSet | None = None,
-                      store=None,
-                      run_id: str | None = None,
-                      cache=None,
                       pdk_node: str = "ptm90") -> list[TemperaturePoint]:
     """Nominal-process characterization at each temperature."""
     spec = temperature_spec(kind, vddi, vddo, temperatures=temperatures,
                             sizing=sizing, workers=workers,
                             pdk_node=pdk_node)
-    resultset = run_experiment(spec, resume=resume, store=store,
-                               run_id=run_id, cache=cache)
-    return points_from_resultset(resultset)
+    return points_from_resultset(run_experiment(spec))
 
 
 def monte_carlo_over_temperature(kind: str, vddi: float, vddo: float,

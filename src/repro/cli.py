@@ -1,101 +1,38 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Commands map one-to-one onto the library's experiment entry points:
+Every subcommand is declared once, in :data:`COMMANDS`; :func:`build_parser`
+and :func:`main` are generated from that table, and a subcommand's
+modules are imported only when it runs. Cell kinds and PDK nodes come
+from the live registries, so unknown names fail listing what *is*
+registered.
 
-* ``characterize`` — the six Table-1/2 metrics for one or more kinds;
-* ``compare`` — SS-TVS vs combined VS side by side;
-* ``sweep`` — Figures 8/9 delay surfaces as text;
-* ``mc`` — Monte Carlo statistics (Tables 3/4);
-* ``functional`` — the full-grid conversion check;
-* ``temp`` — nominal characterization at the paper's temperatures;
-* ``sens`` — finite-difference sizing sensitivities;
-* ``area`` — Figure 7 cell-area estimates;
-* ``liberty`` — NLDM characterization to a .lib-like file;
-* ``vtc`` — DC transfer curve / noise margins;
-* ``pvt`` — process-corner x temperature report;
-* ``bench --leaderboard`` — characterize every registered cell x PDK
-  node x corner into LEADERBOARD.json, one engine point per corner
-  entry and per min-VDDI scan, over ``--workers`` processes (campaign
-  timing lives in ``python3 benchmarks/perf/run.py``);
-* ``floorplan`` — shifter-assignment floorplan campaign: synthesize or
-  bridge a multi-voltage design, assign a registered shifter cell to
-  every domain crossing per strategy, anneal a sequence-pair
-  floorplan, and sign every incumbent off through the NLDM STA
-  engine;
-* ``check`` — fault-injected self-test of the resilient solver runtime
-  (``--cells`` smokes the cell & PDK registries, ``--experiments``
-  adds an engine/artifact-store smoke test; the test batteries run
-  under ``pytest -m golden|batch|chaos|floorplan``);
-
-Cell kinds and PDK nodes come from the live registries
-(:mod:`repro.cells.registry`, :mod:`repro.pdk.registry`): a topology
-or node registered at import time is immediately addressable from
-every subcommand, and unknown names fail listing what *is* registered.
-* ``serve`` — supervised campaign job service over a drop directory
-  (durable journal, worker watchdog, crash requeue, SIGTERM-clean);
-* ``cache`` — inspect/verify/clear a content-addressed solve cache;
-* ``runs`` / ``show`` — list and inspect stored experiment runs;
-* ``trace`` — convergence summary + outlier report of a traced run;
-* ``vcd`` — dump a characterization transient as VCD.
-
-Every campaign subcommand is a thin spec builder over the unified
-experiment engine (:mod:`repro.runtime.experiment`) and shares these
-flags: ``--workers N`` distributes samples over a process pool
-(results identical to a serial run; the default is every CPU the
-process may run on, and ``--workers 1`` runs serially in-process),
-``--out DIR`` persists the run as ``DIR/<run-id>/manifest.json`` +
-``rows.jsonl`` with full provenance, ``--resume RUN-ID`` reloads a
-stored (possibly partial) run and computes only the missing points,
-and ``--trace`` / ``--profile`` record per-point solver telemetry into
-the manifest's ``repro-trace-v1`` section (rendered by
+A campaign subcommand names a library spec builder, an assembler from
+engine rows to the library's result type and a text renderer that picks
+the exit code. :func:`_run_campaign` runs it through the experiment
+engine under the shared flags: ``--workers N`` (a process pool, results
+identical to a serial run; the default is every CPU the process may run
+on, ``1`` runs in-process), ``--out DIR`` (persist the run with a
+provenance manifest), ``--resume RUN-ID`` (complete a stored run in
+place), ``--cache DIR`` (a content-addressed solve cache) and
+``--trace`` / ``--profile`` (per-point solver telemetry, rendered by
 ``repro trace <run-id>``).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.cells.registry import FLOORPLAN_STRATEGIES, cell_names
 from repro.core.metrics import METRIC_FIELDS, METRIC_LABELS, METRIC_UNITS
 from repro.pdk.corners import CORNER_SHIFTS
-from repro.pdk.registry import node_names
+from repro.pdk.registry import make_pdk, node_names
 from repro.runtime.parallel import usable_cpus
 from repro.units import format_eng
-
-
-def _add_voltage_args(parser) -> None:
-    parser.add_argument("--vddi", type=float, default=0.8,
-                        help="input-domain supply [V]")
-    parser.add_argument("--vddo", type=float, default=1.2,
-                        help="output-domain supply [V]")
-
-
-def _add_pdk_arg(parser) -> None:
-    parser.add_argument("--pdk", default="ptm90", choices=node_names(),
-                        help="registered PDK node to run on (choices "
-                             "come from the live node registry; see "
-                             "README 'Cell & PDK zoo')")
-
-
-def _add_backend_arg(parser) -> None:
-    parser.add_argument("--backend", default=None,
-                        choices=("serial", "batched"),
-                        help="execution backend (default and "
-                             "'batched': same-topology points run as "
-                             "SPMD lanes, with lane groups sharded "
-                             "over the pool when --workers > 1; "
-                             "'serial' measures one point at a time "
-                             "in-process; --trace keeps one point per "
-                             "task — see README Performance)")
-    parser.add_argument("--solver", default=None,
-                        choices=("auto", "dense", "sparse"),
-                        help="linear-solve kernel (default auto: dense "
-                             "LAPACK below the size threshold, sparse "
-                             "pattern-reuse LU above; an execution "
-                             "knob — results and cache keys are "
-                             "unaffected)")
 
 
 def _positive_int(text: str) -> int:
@@ -114,29 +51,89 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for a finite value above 0 (exit 2 otherwise)."""
+def _finite_float(text: str, positive: bool = False) -> float:
+    """argparse type for a finite number, above 0 if ``positive``
+    (exit 2 otherwise)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
+    if not math.isfinite(value) or (positive and value <= 0):
         raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, got {text!r}")
+            f"expected a finite{' positive' if positive else ''} "
+            f"number, got {text!r}")
     return value
 
 
-def _add_workers_arg(parser, help_text: str) -> None:
-    parser.add_argument("--workers", type=_positive_int,
-                        default=usable_cpus(),
-                        help=f"{help_text} (default: %(default)s, the "
-                             f"CPUs this process may run on)")
+def _positive_float(text: str) -> float:
+    """argparse type for a finite value above 0 (exit 2 otherwise)."""
+    return _finite_float(text, positive=True)
 
 
-def _add_campaign_args(parser) -> None:
-    """The shared campaign flags: --workers / --out / --resume / --trace."""
-    _add_workers_arg(parser, "process-pool width, one point or lane "
-                             "group per task; 1 runs in-process")
+# -- argument declarations: each adds its options to a subparser ----------
+
+def _arg(*flags, **kwargs) -> Callable:
+    """One plain option, declared as data."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+def _kind_arg(dest: str, **kwargs) -> Callable:
+    """A cell-kind positional, its choices from the live registry."""
+    return lambda parser: parser.add_argument(
+        dest, choices=cell_names(), metavar="kind", **kwargs)
+
+
+_KIND = _kind_arg("kind", nargs="?", default="sstvs")
+_ONE_KIND = _kind_arg("kind")
+_KINDS = _kind_arg("kinds", nargs="+")
+
+
+def _voltages(parser) -> None:
+    parser.add_argument("--vddi", type=_positive_float, default=0.8,
+                        help="input-domain supply [V]")
+    parser.add_argument("--vddo", type=_positive_float, default=1.2,
+                        help="output-domain supply [V]")
+
+
+def _pdk(parser) -> None:
+    parser.add_argument("--pdk", default="ptm90", choices=node_names(),
+                        help="registered PDK node to run on (choices "
+                             "come from the live node registry; see "
+                             "README 'Cell & PDK zoo')")
+
+
+def _backend(parser) -> None:
+    parser.add_argument("--backend", default=None,
+                        choices=("serial", "batched"),
+                        help="execution backend (default and "
+                             "'batched': same-topology points run as "
+                             "SPMD lanes, with lane groups sharded "
+                             "over the pool when --workers > 1; "
+                             "'serial' measures one point at a time "
+                             "in-process; --trace keeps one point per "
+                             "task — see README Performance)")
+    parser.add_argument("--solver", default=None,
+                        choices=("auto", "dense", "sparse"),
+                        help="linear-solve kernel (default auto: dense "
+                             "LAPACK below the size threshold, sparse "
+                             "pattern-reuse LU above; an execution "
+                             "knob — results and cache keys are "
+                             "unaffected)")
+
+
+def _workers(help_text: str) -> Callable:
+    def add(parser) -> None:
+        parser.add_argument("--workers", type=_positive_int,
+                            default=usable_cpus(),
+                            help=f"{help_text} (default: %(default)s, "
+                                 f"the CPUs this process may run on)")
+    return add
+
+
+def _campaign(parser) -> None:
+    """The shared campaign flags, which :func:`_run_spec` resolves."""
+    _workers("process-pool width, one point or lane group per task; "
+             "1 runs in-process")(parser)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="artifact-store root; persists the run as "
                              "DIR/<run-id>/ with a provenance manifest")
@@ -159,59 +156,92 @@ def _add_campaign_args(parser) -> None:
                              "to a live solve")
 
 
-def _campaign_io(args):
-    """Resolve the shared flags into (store, resume, run_id, cache)."""
+_STORE_ROOT = _arg("--out", default=None, metavar="DIR",
+                   help="artifact-store root (default: results)")
+_STEP = _arg("--step", type=_positive_float, default=0.2)
+
+
+def _leaderboard_filters(parser) -> None:
+    parser.add_argument("--cells", nargs="+", default=None,
+                        choices=cell_names(), metavar="cell",
+                        help="leaderboard: restrict to these cells")
+    parser.add_argument("--nodes", nargs="+", default=None,
+                        choices=node_names(), metavar="node",
+                        help="leaderboard: restrict to these PDK nodes")
+    parser.add_argument("--corners", nargs="+", default=None,
+                        choices=tuple(CORNER_SHIFTS), metavar="corner",
+                        help="leaderboard: restrict to these corners "
+                             "(default: all)")
+
+
+# -- the campaign path -----------------------------------------------------
+
+def _run_spec(args, spec):
+    """Run ``spec`` through the engine under the shared flags.
+
+    The trace mode is set from this command's flags alone, so an earlier
+    ``--trace`` in the same process does not carry over. A trace mode,
+    ``--out`` or ``--resume`` opens the artifact store (default root
+    ``results``); ``compare`` has none of the flags.
+    """
     from repro.runtime import telemetry
     from repro.runtime.cache import SolveCache
+    from repro.runtime.experiment import run_experiment
+    flags = vars(args)
+    mode = ("profile" if flags.get("profile")
+            else "collect" if flags.get("trace") else None)
+    telemetry.set_campaign_trace_mode(mode)
+    run_id, cache = flags.get("resume"), flags.get("cache")
+    store = _store(args) if flags.get("out") or run_id or mode else None
+    return run_experiment(spec, store=store, run_id=run_id,
+                          resume=store.load(run_id) if run_id else None,
+                          cache=SolveCache(cache) if cache else None)
+
+
+def _store(args):
     from repro.runtime.experiment import ArtifactStore, DEFAULT_ROOT
-    mode = None
-    if args.profile:
-        mode = "profile"
-    elif args.trace:
-        mode = "collect"
-    if mode is not None:
-        telemetry.set_campaign_trace_mode(mode)
-    store = resume = None
-    if args.out or args.resume or mode is not None:
-        store = ArtifactStore(args.out or DEFAULT_ROOT)
-    if args.resume:
-        resume = store.load(args.resume)
-    cache = None
-    if args.cache:
-        cache = SolveCache(args.cache)
-    return store, resume, args.resume, cache
+    return ArtifactStore(args.out or DEFAULT_ROOT)
 
 
-def _report_run(result) -> None:
-    run_id = getattr(result, "run_id", None)
-    if run_id:
-        print(f"stored run: {run_id}")
+def _run_campaign(command: Command, args) -> int:
+    """Build the spec, run it, render the assembled result."""
+    resultset = result = _run_spec(args, command.spec(args))
+    if command.assemble:
+        module, _, name = command.assemble.partition(":")
+        result = getattr(importlib.import_module(module), name)(resultset)
+    code = command.render(args, result)
+    if resultset.run_id:
+        print(f"stored run: {resultset.run_id}")
+    return code
 
 
-def _print_metrics(metrics, title: str) -> None:
-    print(metrics.pretty(title))
+def _verdict(text: str, ok: bool) -> int:
+    print(text)
+    return 0 if ok else 1
 
 
-def cmd_characterize(args) -> int:
-    from repro.core.characterize import characterize_kinds
-    from repro.pdk import make_pdk
-    store, resume, run_id, cache = _campaign_io(args)
-    results = characterize_kinds(args.kinds, args.vddi, args.vddo,
-                                 pdk=make_pdk(args.pdk, args.temp),
-                                 workers=args.workers, resume=resume,
-                                 store=store, run_id=run_id, cache=cache)
+def _characterize_spec(args):
+    from repro.core.characterize import characterize_kinds_spec
+    return characterize_kinds_spec(args.kinds, args.vddi, args.vddo,
+                                   pdk=make_pdk(args.pdk, args.temp),
+                                   workers=args.workers)
+
+
+def _compare_spec(args):
+    from repro.core.characterize import characterize_kinds_spec
+    pdk = make_pdk("ptm90", args.temp)
+    return characterize_kinds_spec(("sstvs", "combined"), args.vddi,
+                                   args.vddo, pdk=pdk)
+
+
+def _render_characterize(args, results) -> int:
     for kind, metrics in results.items():
-        _print_metrics(metrics, f"{kind} [{args.pdk}]: {args.vddi} V -> "
-                                f"{args.vddo} V @ {args.temp} C")
-    if store is not None and store.list_runs():
-        print(f"stored run under {store.root}")
+        print(metrics.pretty(f"{kind} [{args.pdk}]: {args.vddi} V -> "
+                             f"{args.vddo} V @ {args.temp} C"))
     return 0 if all(m.functional for m in results.values()) else 1
 
 
-def cmd_compare(args) -> int:
-    from repro.core.characterize import characterize_kinds
-    results = characterize_kinds(("sstvs", "combined"), args.vddi,
-                                 args.vddo)
+def _render_compare(args, results) -> int:
     sstvs, combined = results["sstvs"], results["combined"]
     print(f"{'Performance Parameter':<24s} {'SS-TVS':>12s} "
           f"{'Combined':>12s} {'advantage':>10s}")
@@ -224,38 +254,42 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from repro.analysis import (
-        SweepGrid, render_surface_ascii, sweep_delay_surface,
-    )
-    from repro.pdk import make_pdk
-    store, resume, run_id, cache = _campaign_io(args)
-    surface = sweep_delay_surface(args.kind,
-                                  SweepGrid.with_step(args.step),
-                                  pdk=make_pdk(args.pdk, args.temp),
-                                  workers=args.workers, resume=resume,
-                                  store=store, run_id=run_id, cache=cache)
+def _sweep_spec(args):
+    from repro.analysis.sweep import SweepGrid, sweep_spec
+    return sweep_spec(args.kind, SweepGrid.with_step(args.step),
+                      pdk=make_pdk(args.pdk, args.temp),
+                      workers=args.workers)
+
+
+def _render_sweep(args, surface) -> int:
+    from repro.analysis.sweep import render_surface_ascii
     print("Rising delay [ps]:")
     print(render_surface_ascii(surface, "rise"))
     print("\nFalling delay [ps]:")
     print(render_surface_ascii(surface, "fall"))
-    print(f"\nfunctional fraction: {surface.functional_fraction:.3f}")
-    _report_run(surface)
-    return 0 if surface.functional_fraction == 1.0 else 1
+    failing = [(surface.vddi_values[i], surface.vddo_values[j])
+               for i, j in zip(*(~surface.functional).nonzero())]
+    if not failing:
+        print("\nfunctional fraction: 1.000")
+        return 0
+    cells = surface.functional.size
+    shown = ", ".join(f"({vddi:g}, {vddo:g})" for vddi, vddo in failing[:10])
+    more = f", and {len(failing) - 10} more" if len(failing) > 10 else ""
+    print(f"\nfunctional: {cells - len(failing)} of {cells} cells; "
+          f"non-functional (VDDI, VDDO): {shown}{more}")
+    return 1
 
 
-def cmd_mc(args) -> int:
-    from repro.analysis import MonteCarloConfig, run_monte_carlo
-    store, resume, run_id, cache = _campaign_io(args)
+def _mc_spec(args):
+    from repro.analysis.montecarlo import MonteCarloConfig, monte_carlo_spec
     config = MonteCarloConfig(runs=args.runs, seed=args.seed,
                               temperature_c=args.temp,
-                              workers=args.workers,
-                              backend=args.backend,
-                              solver=args.solver,
-                              pdk_node=args.pdk)
-    result = run_monte_carlo(args.kind, args.vddi, args.vddo, config,
-                             resume=resume, store=store, run_id=run_id,
-                             cache=cache)
+                              workers=args.workers, backend=args.backend,
+                              solver=args.solver, pdk_node=args.pdk)
+    return monte_carlo_spec(args.kind, args.vddi, args.vddo, config)
+
+
+def _render_mc(args, result) -> int:
     title = (f"{args.kind} MC, {args.vddi} -> {args.vddo} V, "
              f"{args.runs} runs, {args.temp} C")
     if result.statistics is not None:
@@ -264,36 +298,26 @@ def cmd_mc(args) -> int:
         print(f"{title}\n  no successful samples")
     if result.failures or result.interrupted:
         print(result.failure_summary())
-    _report_run(result)
     return 0 if result.functional_yield == 1.0 else 1
 
 
-def cmd_functional(args) -> int:
-    from repro.analysis import SweepGrid, validate_functionality
-    from repro.pdk import make_pdk
-    store, resume, run_id, cache = _campaign_io(args)
-    report = validate_functionality(args.kind,
-                                    SweepGrid.with_step(args.step),
-                                    pdk=make_pdk(args.pdk, args.temp),
-                                    workers=args.workers,
-                                    backend=args.backend,
-                                    solver=args.solver,
-                                    resume=resume,
-                                    store=store, run_id=run_id,
-                                    cache=cache)
-    print(report.summary())
-    _report_run(report)
-    return 0 if report.all_passed else 1
+def _functional_spec(args):
+    from repro.analysis.functional import functional_spec
+    from repro.analysis.sweep import SweepGrid
+    return functional_spec(args.kind, SweepGrid.with_step(args.step),
+                           pdk=make_pdk(args.pdk, args.temp),
+                           workers=args.workers, backend=args.backend,
+                           solver=args.solver)
 
 
-def cmd_temp(args) -> int:
-    from repro.analysis import sweep_temperature
-    store, resume, run_id, cache = _campaign_io(args)
-    points = sweep_temperature(args.kind, args.vddi, args.vddo,
-                               temperatures=tuple(args.temps),
-                               workers=args.workers, resume=resume,
-                               store=store, run_id=run_id, cache=cache,
-                               pdk_node=args.pdk)
+def _temp_spec(args):
+    from repro.analysis.temperature import temperature_spec
+    return temperature_spec(args.kind, args.vddi, args.vddo,
+                            temperatures=tuple(args.temps),
+                            workers=args.workers, pdk_node=args.pdk)
+
+
+def _render_temp(args, points) -> int:
     print(f"{args.kind} [{args.pdk}], {args.vddi} V -> {args.vddo} V:")
     print(f"  {'T[C]':>6s} {'d_rise':>9s} {'d_fall':>9s} "
           f"{'leak_hi':>9s} {'func':>5s}")
@@ -307,65 +331,28 @@ def cmd_temp(args) -> int:
     return 0 if all(p.metrics.functional for p in points) else 1
 
 
-def cmd_sens(args) -> int:
-    from repro.analysis import (
-        SIZING_KNOBS, metric_sensitivities, render_sensitivity_table,
-    )
-    from repro.pdk import make_pdk
-    store, resume, run_id, cache = _campaign_io(args)
-    knobs = tuple(args.knobs) if args.knobs else SIZING_KNOBS
-    sensitivities = metric_sensitivities(
-        args.kind, args.vddi, args.vddo, knobs=knobs,
-        pdk=make_pdk(args.pdk, args.temp),
-        workers=args.workers, resume=resume, store=store, run_id=run_id,
-        cache=cache)
+def _sens_spec(args):
+    from repro.analysis.sensitivity import SIZING_KNOBS, sensitivity_spec
+    return sensitivity_spec(args.kind, args.vddi, args.vddo,
+                            knobs=tuple(args.knobs or SIZING_KNOBS),
+                            pdk=make_pdk(args.pdk, args.temp),
+                            workers=args.workers)
+
+
+def _render_sens(args, sensitivities) -> int:
+    from repro.analysis.sensitivity import render_sensitivity_table
     print(render_sensitivity_table(sensitivities))
     return 0
 
 
-def cmd_area(args) -> int:
-    from repro.cells.registry import get_cell
-    from repro.layout import estimate_cell_area
-    from repro.pdk import make_pdk
-    pdk = make_pdk(args.pdk)
-    for name in cell_names():
-        spec = get_cell(name)
-        if spec.area_probe is None:
-            print(f"{name:12s} {'n/a':>10s} ({spec.device_count} devices, "
-                  f"no area probe registered)")
-            continue
-        est = estimate_cell_area(spec.area_probe, pdk)
-        print(f"{name:12s} {est.total_area_um2:6.2f} um^2 "
-              f"({est.device_count} devices)")
-    return 0
+def _vtc_spec(args):
+    from repro.analysis.noise_margin import vtc_spec
+    return vtc_spec(args.kind, pairs=((args.vddi, args.vddo),),
+                    pdk=make_pdk(args.pdk, args.temp),
+                    workers=args.workers)
 
 
-def cmd_liberty(args) -> int:
-    from repro.core.libchar import characterize_cell, write_liberty
-    from repro.pdk import make_pdk
-    store, _, _, cache = _campaign_io(args)
-    cells = [characterize_cell(kind, make_pdk(args.pdk, args.temp),
-                               args.vddi, args.vddo, workers=args.workers,
-                               store=store, cache=cache)
-             for kind in args.kinds]
-    text = write_liberty(cells)
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.output} ({len(cells)} cells)")
-    return 0
-
-
-def cmd_vtc(args) -> int:
-    from repro.analysis import vtc_report
-    from repro.pdk import make_pdk
-    store, resume, run_id, cache = _campaign_io(args)
-    report = vtc_report(args.kind, pairs=((args.vddi, args.vddo),),
-                        pdk=make_pdk(args.pdk, args.temp),
-                        workers=args.workers, resume=resume,
-                        store=store, run_id=run_id, cache=cache)
+def _render_vtc(args, report) -> int:
     if report.failures:
         for f in report.failures:
             print(f"VTC extraction failed at {f.index}: "
@@ -379,20 +366,41 @@ def cmd_vtc(args) -> int:
           f"Vsw={vtc.switching_point:.3f} V")
     print(f"  NML={vtc.nml:.3f} V  NMH={vtc.nmh:.3f} V  "
           f"regenerative={vtc.regenerative()}")
-    _report_run(report)
     return 0
 
 
-def cmd_pvt(args) -> int:
-    from repro.analysis import pvt_report
-    store, resume, run_id, cache = _campaign_io(args)
-    report = pvt_report(args.kind, args.vddi, args.vddo,
-                        workers=args.workers, resume=resume,
-                        store=store, run_id=run_id, cache=cache,
-                        pdk_node=args.pdk)
-    print(report.pretty())
-    _report_run(report)
-    return 0 if report.all_functional else 1
+def _pvt_spec(args):
+    from repro.analysis.corners import pvt_spec
+    return pvt_spec(args.kind, args.vddi, args.vddo, workers=args.workers,
+                    pdk_node=args.pdk)
+
+
+def _check_liberty(args) -> str | None:
+    if args.resume and len(args.kinds) > 1:
+        return ("--resume completes one stored run, and liberty stores "
+                "one run per kind; resume one kind at a time")
+
+
+def cmd_liberty(args) -> int:
+    """NLDM-characterize each kind (one campaign per kind) to .lib."""
+    from repro.core.libchar import (
+        cell_from_resultset, libchar_spec, write_liberty,
+    )
+    pdk = make_pdk(args.pdk, args.temp)
+    runs = [_run_spec(args, libchar_spec(kind, args.vddi, args.vddo, pdk,
+                                         workers=args.workers))
+            for kind in args.kinds]
+    text = write_liberty([cell_from_resultset(run) for run in runs])
+    if args.output == "-":
+        print(text)
+    else:
+        with open(args.output, "w") as handle:
+            handle.write(text)
+        print(f"wrote {args.output} ({len(runs)} cells)")
+    for run in runs:
+        if run.run_id:
+            print(f"stored run: {run.run_id}")
+    return 0
 
 
 def _floorplan_design(args):
@@ -404,62 +412,52 @@ def _floorplan_design(args):
     from repro.verilog import parse_verilog
     with open(args.verilog) as handle:
         modules = parse_verilog(handle.read())
-    if args.top:
-        try:
-            module = modules[args.top]
-        except KeyError:
-            raise AnalysisError(
-                f"no module {args.top!r} in {args.verilog} "
-                f"(have {sorted(modules)})") from None
-    else:
-        module = next(iter(modules.values()))
-    domains = {}
-    for entry in args.domain:
-        name, _, volts = entry.partition("=")
-        if not volts:
-            raise AnalysisError(
-                f"--domain wants NAME=VOLTS, got {entry!r}")
-        domains[name] = float(volts)
-    block_domains = {}
-    for entry in args.block_domain:
-        inst, _, domain = entry.partition("=")
-        if not domain:
-            raise AnalysisError(
-                f"--block-domain wants INSTANCE=DOMAIN, got {entry!r}")
-        block_domains[inst] = domain
-    return design_from_verilog(module, block_domains, domains)
+    if args.top and args.top not in modules:
+        raise AnalysisError(f"no module {args.top!r} in {args.verilog} "
+                            f"(have {sorted(modules)})")
+    module = modules[args.top] if args.top else next(iter(modules.values()))
+
+    def pairs(entries, flag: str, form: str) -> dict:
+        parsed = {}
+        for entry in entries:
+            key, _, value = entry.partition("=")
+            if not value:
+                raise AnalysisError(f"{flag} wants {form}, got {entry!r}")
+            parsed[key] = value
+        return parsed
+
+    domains = {name: float(volts) for name, volts in
+               pairs(args.domain, "--domain", "NAME=VOLTS").items()}
+    return design_from_verilog(
+        module, pairs(args.block_domain, "--block-domain",
+                      "INSTANCE=DOMAIN"), domains)
 
 
-def cmd_floorplan(args) -> int:
-    """Shifter-assignment floorplan campaign with STA sign-off."""
-    from repro.floorplan import (
-        best_by_strategy, floorplan_spec, leaderboard_leakage,
-        run_floorplan_campaign,
-    )
-    if not args.verilog:
-        # Reject a synthetic design the generator cannot build before
-        # a run is stored in which every point fails.
-        if args.blocks < 2:
-            args.usage_error(f"--blocks must be at least 2, got "
-                             f"{args.blocks}")
-        if not 2 <= args.domains <= args.blocks:
-            args.usage_error(f"--domains must be in [2, --blocks="
-                             f"{args.blocks}], got {args.domains}")
-        if not (math.isfinite(args.crossing_factor)
-                and args.crossing_factor >= 0):
-            args.usage_error(f"--crossing-factor must be finite and "
-                             f">= 0, got {args.crossing_factor}")
-    if not (math.isfinite(args.required) and args.required > 0):
-        args.usage_error(f"--required must be finite and positive, got "
-                         f"{args.required}")
-    store, resume, run_id, cache = _campaign_io(args)
+def _check_floorplan(args) -> str | None:
+    """Reject a synthetic design the generator cannot build before a
+    run is stored in which every point fails."""
+    if args.verilog:
+        return None
+    if args.blocks < 2:
+        return f"--blocks must be at least 2, got {args.blocks}"
+    if not 2 <= args.domains <= args.blocks:
+        return (f"--domains must be in [2, --blocks={args.blocks}], got "
+                f"{args.domains}")
+    if not (math.isfinite(args.crossing_factor)
+            and args.crossing_factor >= 0):
+        return (f"--crossing-factor must be finite and >= 0, got "
+                f"{args.crossing_factor}")
+
+
+def _floorplan_spec(args):
+    from repro.floorplan import floorplan_spec, leaderboard_leakage
     design = _floorplan_design(args)
     leakage = args.leakage
     if leakage == "leaderboard":
         from repro.analysis.leaderboard import load_leaderboard
         leakage = leaderboard_leakage(load_leaderboard(args.board),
                                       args.pdk)
-    spec = floorplan_spec(
+    return floorplan_spec(
         design=design, blocks=args.blocks, domains=args.domains,
         design_seed=args.design_seed,
         crossing_factor=args.crossing_factor,
@@ -468,11 +466,13 @@ def cmd_floorplan(args) -> int:
         required=args.required * 1e-9, timing=args.timing,
         node=args.pdk, leakage=leakage,
         require_signoff=args.require_signoff, workers=args.workers)
-    result = run_floorplan_campaign(spec, resume=resume, store=store,
-                                    run_id=run_id, cache=cache)
+
+
+def _render_floorplan(args, result) -> int:
+    from repro.floorplan import best_by_strategy
     print(f"floorplan campaign [{args.pdk}]: "
-          f"{spec.metadata['blocks']} blocks, "
-          f"{spec.metadata['moves']} moves/anneal, required "
+          f"{result.metadata['blocks']} blocks, "
+          f"{result.metadata['moves']} moves/anneal, required "
           f"{args.required:g} ns ({args.timing} timing)")
     print(f"  {'point':>14s} {'cost':>12s} {'bbox[um2]':>11s} "
           f"{'rails[um]':>10s} {'slack[ps]':>10s} {'signoff':>8s}")
@@ -499,15 +499,31 @@ def cmd_floorplan(args) -> int:
               f"supply rail)")
     if result.interrupted:
         print("interrupted — partial results stored")
-    _report_run(result)
     failures = result.counts["err"]
     return 0 if failures == 0 and not result.interrupted else 1
 
 
+# -- the other subcommands -------------------------------------------------
+
+def cmd_area(args) -> int:
+    from repro.cells.registry import get_cell
+    from repro.layout import estimate_cell_area
+    pdk = make_pdk(args.pdk)
+    for name in cell_names():
+        spec = get_cell(name)
+        if spec.area_probe is None:
+            print(f"{name:12s} {'n/a':>10s} ({spec.device_count} devices, "
+                  f"no area probe registered)")
+            continue
+        est = estimate_cell_area(spec.area_probe, pdk)
+        print(f"{name:12s} {est.total_area_um2:6.2f} um^2 "
+              f"({est.device_count} devices)")
+    return 0
+
+
 def cmd_runs(args) -> int:
     """List stored experiment runs (``results/<run-id>/``)."""
-    from repro.runtime.experiment import ArtifactStore, DEFAULT_ROOT
-    store = ArtifactStore(args.out or DEFAULT_ROOT)
+    store = _store(args)
     manifests = store.list_runs()
     if not manifests:
         print(f"no stored runs under {store.root}")
@@ -528,8 +544,7 @@ def cmd_runs(args) -> int:
 
 def cmd_show(args) -> int:
     """Show one stored run: provenance manifest plus row summary."""
-    from repro.runtime.experiment import ArtifactStore, DEFAULT_ROOT
-    store = ArtifactStore(args.out or DEFAULT_ROOT)
+    store = _store(args)
     manifest = store.manifest(args.run_id)
     prov = manifest.get("provenance", {})
     print(f"run {manifest.get('run_id')}: {manifest.get('name')}")
@@ -560,10 +575,8 @@ def cmd_show(args) -> int:
 
 def cmd_trace(args) -> int:
     """Render the ``repro-trace-v1`` section of a stored run."""
-    from repro.runtime.experiment import ArtifactStore, DEFAULT_ROOT
     from repro.runtime.telemetry import render_trace
-    store = ArtifactStore(args.out or DEFAULT_ROOT)
-    manifest = store.manifest(args.run_id)
+    manifest = _store(args).manifest(args.run_id)
     document = manifest.get("trace")
     if not document:
         print(f"run {args.run_id!r} has no trace section; rerun the "
@@ -576,7 +589,6 @@ def cmd_trace(args) -> int:
 
 def cmd_vcd(args) -> int:
     from repro.core.characterize import StimulusPlan, run_stimulus
-    from repro.pdk import make_pdk
     from repro.spice.vcd import write_vcd
     result, probes = run_stimulus(make_pdk(args.pdk, args.temp),
                                   args.kind, args.vddi,
@@ -601,13 +613,11 @@ def cmd_serve(args) -> int:
     SIGTERM-clean shutdown) and finishes it as ``<name>.done.json`` /
     ``<name>.failed.json``. ``--once`` drains the directory and exits.
     """
-    from repro.runtime.experiment import ArtifactStore, DEFAULT_ROOT
     from repro.runtime.service import ServiceConfig, serve_jobs
     config = ServiceConfig(workers=args.workers,
                            chunk_size=args.chunk_size,
                            heartbeat_timeout_s=args.heartbeat)
-    store = ArtifactStore(args.out or DEFAULT_ROOT)
-    processed = serve_jobs(args.jobs, store, cache=args.cache,
+    processed = serve_jobs(args.jobs, _store(args), cache=args.cache,
                            config=config, once=args.once,
                            poll_s=args.poll)
     print(f"serve: {processed} job(s) processed")
@@ -668,7 +678,7 @@ def cmd_bench(args) -> int:
 def _check_cells(check) -> None:
     """Registry smoke: every cell characterizes on every node."""
     from repro.core.characterize import characterize
-    from repro.pdk.registry import get_node, make_pdk
+    from repro.pdk.registry import get_node
     print("cell & PDK registry smoke (every cell x node, canonical "
           "pair):")
     for node_name in node_names():
@@ -745,8 +755,10 @@ def cmd_check(args) -> int:
     Exercises every fallback rung with deterministic faults, then runs
     a small fault-injected Monte Carlo smoke campaign; exits nonzero if
     any solver escape goes uncaught or the quarantine bookkeeping is
-    wrong. ``--experiments`` adds an engine/artifact-store round-trip
-    (persist, reload, truncate, resume).
+    wrong. ``--cells`` adds a registry smoke (every cell on every node
+    at its canonical pair) and ``--experiments`` an engine/artifact-store
+    round-trip (persist, reload, truncate, resume); the test batteries
+    run under ``pytest -m golden|batch|chaos|floorplan``.
     """
     from repro.analysis import MonteCarloConfig, run_monte_carlo
     from repro.core import StimulusPlan
@@ -843,242 +855,229 @@ def cmd_check(args) -> int:
     return 0
 
 
+# -- the table -------------------------------------------------------------
+
+class Command(NamedTuple):
+    """One ``repro`` subcommand; ``args`` add its options, in order.
+
+    A campaign names ``spec`` (args -> ExperimentSpec), ``assemble``
+    (``"module:function"`` from the engine's ResultSet to the result
+    ``render`` takes; None passes the ResultSet) and ``render`` ((args,
+    result) -> exit code). Any other command names ``run`` (args ->
+    exit code). ``check`` returns a usage error for option combinations
+    argparse cannot express.
+    """
+    help: str
+    args: tuple
+    spec: Callable | None = None
+    assemble: str | None = None
+    render: Callable | None = None
+    run: Callable | None = None
+    check: Callable | None = None
+
+
+COMMANDS = {
+    "characterize": Command(
+        "six-metric characterization", (_KINDS, _voltages, _pdk, _campaign),
+        _characterize_spec, "repro.core.characterize:kinds_from_resultset",
+        _render_characterize),
+    "compare": Command(
+        "SS-TVS vs combined VS", (_voltages,),
+        _compare_spec, "repro.core.characterize:kinds_from_resultset",
+        _render_compare),
+    "sweep": Command(
+        "delay surfaces (Figures 8/9)", (_KIND, _STEP, _pdk, _campaign),
+        _sweep_spec, "repro.analysis.sweep:surface_from_resultset",
+        _render_sweep),
+    "mc": Command(
+        "Monte Carlo statistics (Tables 3/4)",
+        (_KIND, _voltages, _arg("--runs", type=_positive_int, default=25),
+         _arg("--seed", type=int, default=20080310), _pdk, _campaign,
+         _backend),
+        _mc_spec, "repro.analysis.montecarlo:result_from_resultset",
+        _render_mc),
+    "functional": Command(
+        "full-grid conversion check",
+        (_KIND, _STEP, _pdk, _campaign, _backend),
+        _functional_spec, "repro.analysis.functional:report_from_resultset",
+        lambda args, report: _verdict(report.summary(), report.all_passed)),
+    "temp": Command(
+        "characterization vs temperature",
+        (_KIND, _voltages,
+         _arg("--temps", type=_finite_float, nargs="+",
+              default=[27.0, 60.0, 90.0],
+              help="temperatures [C] (paper: 27 60 90)"),
+         _pdk, _campaign),
+        _temp_spec, "repro.analysis.temperature:points_from_resultset",
+        _render_temp),
+    "sens": Command(
+        "sizing-knob sensitivities (sstvs)",
+        (_KIND, _voltages,
+         _arg("--knobs", nargs="+", default=None,
+              help="sizing knobs to perturb (default: all)"),
+         _pdk, _campaign),
+        _sens_spec, "repro.analysis.sensitivity:sensitivities_from_resultset",
+        _render_sens),
+    "area": Command("cell-area estimates (Figure 7)", (_pdk,),
+                    run=cmd_area),
+    "liberty": Command(
+        "NLDM characterization -> .lib",
+        (_KINDS, _voltages, _arg("--output", "-o", default="-"), _pdk,
+         _campaign),
+        run=cmd_liberty, check=_check_liberty),
+    "vtc": Command(
+        "DC transfer curve / noise margins",
+        (_ONE_KIND, _voltages, _pdk, _campaign),
+        _vtc_spec, "repro.analysis.noise_margin:report_from_resultset",
+        _render_vtc),
+    "pvt": Command(
+        "process-corner x temperature report",
+        (_KIND, _voltages, _pdk, _campaign),
+        _pvt_spec, "repro.analysis.corners:report_from_resultset",
+        lambda args, report: _verdict(report.pretty(),
+                                      report.all_functional)),
+    "floorplan": Command(
+        "shifter-assignment floorplan campaign",
+        (_arg("--blocks", type=int, default=64,
+              help="synthetic design: block count"),
+         _arg("--domains", type=int, default=4,
+              help="synthetic design: voltage-domain count"),
+         _arg("--design-seed", type=int, default=0,
+              help="synthetic design: generator seed"),
+         _arg("--crossing-factor", type=float, default=1.5,
+              help="synthetic design: nets per block"),
+         _arg("--verilog", default=None, metavar="FILE",
+              help="floorplan a structural Verilog design instead of "
+                   "the synthetic generator"),
+         _arg("--top", default=None,
+              help="Verilog: top module (default: first parsed)"),
+         _arg("--domain", action="append", default=[],
+              metavar="NAME=VOLTS",
+              help="Verilog: declare a voltage domain (repeat)"),
+         _arg("--block-domain", action="append", default=[],
+              metavar="INSTANCE=DOMAIN",
+              help="Verilog: pin an instance to a domain (repeat)"),
+         _arg("--strategies", nargs="+",
+              default=list(FLOORPLAN_STRATEGIES),
+              choices=list(FLOORPLAN_STRATEGIES), metavar="strategy",
+              help="shifter strategies to floorplan "
+                   f"(default: {' '.join(FLOORPLAN_STRATEGIES)})"),
+         _arg("--seed", type=int, default=0,
+              help="annealing seed (same seed => bitwise-identical "
+                   "floorplan)"),
+         _arg("--restarts", type=_positive_int, default=1,
+              help="independent annealing restarts per strategy"),
+         _arg("--moves", type=_non_negative_int, default=None,
+              help="annealing moves (default: scaled to design)"),
+         _arg("--required", type=_positive_float, default=2.0,
+              help="sign-off required arrival [ns]"),
+         _arg("--timing", choices=("synthetic", "spice"),
+              default="synthetic",
+              help="crossing-path NLDM source: deterministic synthetic "
+                   "tables or SPICE characterization"),
+         _arg("--leakage", choices=("none", "spice", "leaderboard"),
+              default="none",
+              help="shifter leakage costing: none, SPICE "
+                   "characterization, or the standing leaderboard"),
+         _arg("--board", default="LEADERBOARD.json",
+              help="leaderboard artifact for --leakage leaderboard"),
+         _arg("--require-signoff", action="store_true",
+              help="treat an STA violation as a point failure"),
+         _pdk, _campaign),
+        _floorplan_spec, None, _render_floorplan, check=_check_floorplan),
+    "runs": Command("list stored experiment runs", (_STORE_ROOT,),
+                    run=cmd_runs),
+    "show": Command(
+        "inspect one stored experiment run",
+        (_arg("run_id"), _STORE_ROOT,
+         _arg("--limit", type=_non_negative_int, default=20,
+              help="rows to print (0 = all)")),
+        run=cmd_show),
+    "serve": Command(
+        "supervised campaign job service",
+        (_arg("--jobs", required=True, metavar="DIR",
+              help="job drop directory (*.json job files)"),
+         _STORE_ROOT,
+         _arg("--cache", default=None, metavar="DIR",
+              help="content-addressed solve cache root"),
+         _arg("--once", action="store_true",
+              help="drain the directory and exit instead of polling "
+                   "until SIGTERM"),
+         _workers("concurrent worker processes"),
+         _arg("--chunk-size", type=_positive_int, default=4,
+              help="points per worker chunk"),
+         _arg("--heartbeat", type=_positive_float, default=30.0,
+              help="seconds without worker progress before the "
+                   "watchdog kills and requeues it"),
+         _arg("--poll", type=_positive_float, default=0.5,
+              help="job-directory poll interval [s]")),
+        run=cmd_serve),
+    "cache": Command(
+        "inspect a solve cache",
+        (_arg("action", choices=("stats", "verify", "clear")),
+         _arg("--root", default="cache", metavar="DIR",
+              help="cache root directory (default: cache)")),
+        run=cmd_cache),
+    "bench": Command(
+        "cell x node x corner leaderboard",
+        (_arg("--leaderboard", action="store_true", required=True,
+              help="characterize every registered cell on every "
+                   "registered PDK node at every process corner and "
+                   "write the standing leaderboard artifact"),
+         _arg("--out", "--output", "-o", dest="out",
+              default="LEADERBOARD.json",
+              help="artifact path (default: LEADERBOARD.json)"),
+         _leaderboard_filters,
+         _workers("process-pool width, one point per task; 1 runs "
+                  "serially in-process")),
+        run=cmd_bench),
+    "check": Command(
+        "fault-injected solver self-test",
+        (_arg("--runs", type=_positive_int, default=6,
+              help="smoke-campaign sample count"),
+         _arg("--cells", action="store_true",
+              help="also smoke-test the cell & PDK registries: "
+                   "characterize every registered cell on every "
+                   "registered node at its canonical pair"),
+         _arg("--experiments", action="store_true",
+              help="also smoke-test the experiment engine and artifact "
+                   "store (persist, reload, resume)")),
+        run=cmd_check),
+    "trace": Command(
+        "convergence summary of a traced run",
+        (_arg("run_id"), _STORE_ROOT,
+         _arg("--limit", type=_non_negative_int, default=10,
+              help="outlier rows to print")),
+        run=cmd_trace),
+    "vcd": Command(
+        "dump a characterization transient",
+        (_ONE_KIND, _voltages, _pdk,
+         _arg("--output", "-o", default="shifter.vcd")),
+        run=cmd_vcd),
+}
+
+
+def _dispatch(command: Command, usage_error, args) -> int:
+    problem = command.check(args) if command.check else None
+    if problem:
+        usage_error(problem)
+    if command.run is not None:
+        return command.run(args)
+    return _run_campaign(command, args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SS-TVS reproduction (DATE 2008) command line")
-    parser.add_argument("--temp", type=float, default=27.0,
+    parser.add_argument("--temp", type=_finite_float, default=27.0,
                         help="temperature [C]")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("characterize", help="six-metric characterization")
-    p.add_argument("kinds", nargs="+", choices=cell_names(),
-                   metavar="kind")
-    _add_voltage_args(p)
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_characterize)
-
-    p = sub.add_parser("compare", help="SS-TVS vs combined VS")
-    _add_voltage_args(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="delay surfaces (Figures 8/9)")
-    p.add_argument("kind", nargs="?", default="sstvs",
-                   choices=cell_names(), metavar="kind")
-    p.add_argument("--step", type=_positive_float, default=0.2)
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("mc", help="Monte Carlo statistics (Tables 3/4)")
-    p.add_argument("kind", nargs="?", default="sstvs",
-                   choices=cell_names(), metavar="kind")
-    _add_voltage_args(p)
-    p.add_argument("--runs", type=_positive_int, default=25)
-    p.add_argument("--seed", type=int, default=20080310)
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    _add_backend_arg(p)
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("functional", help="full-grid conversion check")
-    p.add_argument("kind", nargs="?", default="sstvs",
-                   choices=cell_names(), metavar="kind")
-    p.add_argument("--step", type=_positive_float, default=0.2)
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    _add_backend_arg(p)
-    p.set_defaults(func=cmd_functional)
-
-    p = sub.add_parser("temp", help="characterization vs temperature")
-    p.add_argument("kind", nargs="?", default="sstvs",
-                   choices=cell_names(), metavar="kind")
-    _add_voltage_args(p)
-    p.add_argument("--temps", type=float, nargs="+",
-                   default=[27.0, 60.0, 90.0],
-                   help="temperatures [C] (paper: 27 60 90)")
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_temp)
-
-    p = sub.add_parser("sens", help="sizing-knob sensitivities (sstvs)")
-    p.add_argument("kind", nargs="?", default="sstvs",
-                   choices=cell_names(), metavar="kind")
-    _add_voltage_args(p)
-    p.add_argument("--knobs", nargs="+", default=None,
-                   help="sizing knobs to perturb (default: all)")
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_sens)
-
-    p = sub.add_parser("area", help="cell-area estimates (Figure 7)")
-    _add_pdk_arg(p)
-    p.set_defaults(func=cmd_area)
-
-    p = sub.add_parser("liberty", help="NLDM characterization -> .lib")
-    p.add_argument("kinds", nargs="+", choices=cell_names(),
-                   metavar="kind")
-    _add_voltage_args(p)
-    p.add_argument("--output", "-o", default="-")
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_liberty)
-
-    p = sub.add_parser("vtc", help="DC transfer curve / noise margins")
-    p.add_argument("kind", choices=cell_names(), metavar="kind")
-    _add_voltage_args(p)
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_vtc)
-
-    p = sub.add_parser("pvt", help="process-corner x temperature report")
-    p.add_argument("kind", nargs="?", default="sstvs",
-                   choices=cell_names(), metavar="kind")
-    _add_voltage_args(p)
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_pvt)
-
-    p = sub.add_parser("floorplan",
-                       help="shifter-assignment floorplan campaign")
-    p.add_argument("--blocks", type=int, default=64,
-                   help="synthetic design: block count")
-    p.add_argument("--domains", type=int, default=4,
-                   help="synthetic design: voltage-domain count")
-    p.add_argument("--design-seed", type=int, default=0,
-                   help="synthetic design: generator seed")
-    p.add_argument("--crossing-factor", type=float, default=1.5,
-                   help="synthetic design: nets per block")
-    p.add_argument("--verilog", default=None, metavar="FILE",
-                   help="floorplan a structural Verilog design instead "
-                        "of the synthetic generator")
-    p.add_argument("--top", default=None,
-                   help="Verilog: top module (default: first parsed)")
-    p.add_argument("--domain", action="append", default=[],
-                   metavar="NAME=VOLTS",
-                   help="Verilog: declare a voltage domain (repeat)")
-    p.add_argument("--block-domain", action="append", default=[],
-                   metavar="INSTANCE=DOMAIN",
-                   help="Verilog: pin an instance to a domain (repeat)")
-    p.add_argument("--strategies", nargs="+",
-                   default=list(FLOORPLAN_STRATEGIES),
-                   choices=list(FLOORPLAN_STRATEGIES), metavar="strategy",
-                   help="shifter strategies to floorplan "
-                        f"(default: {' '.join(FLOORPLAN_STRATEGIES)})")
-    p.add_argument("--seed", type=int, default=0,
-                   help="annealing seed (same seed => bitwise-identical "
-                        "floorplan)")
-    p.add_argument("--restarts", type=_positive_int, default=1,
-                   help="independent annealing restarts per strategy")
-    p.add_argument("--moves", type=_non_negative_int, default=None,
-                   help="annealing moves (default: scaled to design)")
-    p.add_argument("--required", type=float, default=2.0,
-                   help="sign-off required arrival [ns]")
-    p.add_argument("--timing", choices=("synthetic", "spice"),
-                   default="synthetic",
-                   help="crossing-path NLDM source: deterministic "
-                        "synthetic tables or SPICE characterization")
-    p.add_argument("--leakage", choices=("none", "spice", "leaderboard"),
-                   default="none",
-                   help="shifter leakage costing: none, SPICE "
-                        "characterization, or the standing leaderboard")
-    p.add_argument("--board", default="LEADERBOARD.json",
-                   help="leaderboard artifact for --leakage leaderboard")
-    p.add_argument("--require-signoff", action="store_true",
-                   help="treat an STA violation as a point failure")
-    _add_pdk_arg(p)
-    _add_campaign_args(p)
-    p.set_defaults(func=cmd_floorplan, usage_error=p.error)
-
-    p = sub.add_parser("runs", help="list stored experiment runs")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="artifact-store root (default: results)")
-    p.set_defaults(func=cmd_runs)
-
-    p = sub.add_parser("show", help="inspect one stored experiment run")
-    p.add_argument("run_id")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="artifact-store root (default: results)")
-    p.add_argument("--limit", type=_non_negative_int, default=20,
-                   help="rows to print (0 = all)")
-    p.set_defaults(func=cmd_show)
-
-    p = sub.add_parser("serve", help="supervised campaign job service")
-    p.add_argument("--jobs", required=True, metavar="DIR",
-                   help="job drop directory (*.json job files)")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="artifact-store root (default: results)")
-    p.add_argument("--cache", default=None, metavar="DIR",
-                   help="content-addressed solve cache root")
-    p.add_argument("--once", action="store_true",
-                   help="drain the directory and exit instead of "
-                        "polling until SIGTERM")
-    _add_workers_arg(p, "concurrent worker processes")
-    p.add_argument("--chunk-size", type=_positive_int, default=4,
-                   help="points per worker chunk")
-    p.add_argument("--heartbeat", type=float, default=30.0,
-                   help="seconds without worker progress before the "
-                        "watchdog kills and requeues it")
-    p.add_argument("--poll", type=float, default=0.5,
-                   help="job-directory poll interval [s]")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("cache", help="inspect a solve cache")
-    p.add_argument("action", choices=("stats", "verify", "clear"))
-    p.add_argument("--root", default="cache", metavar="DIR",
-                   help="cache root directory (default: cache)")
-    p.set_defaults(func=cmd_cache)
-
-    p = sub.add_parser("bench", help="cell x node x corner leaderboard")
-    p.add_argument("--leaderboard", action="store_true", required=True,
-                   help="characterize every registered cell on every "
-                        "registered PDK node at every process corner "
-                        "and write the standing leaderboard artifact")
-    p.add_argument("--out", "--output", "-o", dest="out",
-                   default="LEADERBOARD.json",
-                   help="artifact path (default: LEADERBOARD.json)")
-    p.add_argument("--cells", nargs="+", default=None,
-                   choices=cell_names(), metavar="cell",
-                   help="leaderboard: restrict to these cells")
-    p.add_argument("--nodes", nargs="+", default=None,
-                   choices=node_names(), metavar="node",
-                   help="leaderboard: restrict to these PDK nodes")
-    p.add_argument("--corners", nargs="+", default=None,
-                   choices=tuple(CORNER_SHIFTS), metavar="corner",
-                   help="leaderboard: restrict to these corners "
-                        "(default: all)")
-    _add_workers_arg(p, "process-pool width, one point per task; "
-                        "1 runs serially in-process")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("check", help="fault-injected solver self-test")
-    p.add_argument("--runs", type=_positive_int, default=6,
-                   help="smoke-campaign sample count")
-    p.add_argument("--cells", action="store_true",
-                   help="also smoke-test the cell & PDK registries: "
-                        "characterize every registered cell on every "
-                        "registered node at its canonical pair")
-    p.add_argument("--experiments", action="store_true",
-                   help="also smoke-test the experiment engine and "
-                        "artifact store (persist, reload, resume)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("trace", help="convergence summary of a traced run")
-    p.add_argument("run_id")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="artifact-store root (default: results)")
-    p.add_argument("--limit", type=_non_negative_int, default=10,
-                   help="outlier rows to print")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("vcd", help="dump a characterization transient")
-    p.add_argument("kind", choices=cell_names(), metavar="kind")
-    _add_voltage_args(p)
-    _add_pdk_arg(p)
-    p.add_argument("--output", "-o", default="shifter.vcd")
-    p.set_defaults(func=cmd_vcd)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for add in command.args:
+            add(p)
+        p.set_defaults(func=partial(_dispatch, command, p.error))
     return parser
 
 

@@ -520,14 +520,13 @@ def characterize_kinds(kinds, vddi: float, vddo: float, pdk=None,
                        plan: StimulusPlan | None = None,
                        load_cap: float = 1e-15, sizing=None,
                        driver_scale: float = 1.0, workers: int = 1,
-                       resume=None, store=None,
-                       run_id: str | None = None, cache=None) -> dict:
+                       cache=None) -> dict:
     """Characterize several kinds at one operating point.
 
     Returns ``kind -> ShifterMetrics``, in the order given. Routed
     through the unified experiment engine, so ``workers > 1``
-    parallelizes over kinds and ``store=`` persists the run with a
-    provenance manifest. A kind whose bench escapes the solver's retry
+    parallelizes over kinds and ``cache`` serves repeat kinds from a
+    :class:`SolveCache`. A kind whose bench escapes the solver's retry
     ladder comes back as a non-functional NaN entry (matching
     :func:`characterize`'s own convergence-failure convention).
     """
@@ -536,11 +535,13 @@ def characterize_kinds(kinds, vddi: float, vddo: float, pdk=None,
                                    load_cap=load_cap, sizing=sizing,
                                    driver_scale=driver_scale,
                                    workers=workers)
-    resultset = run_experiment(spec, resume=resume, store=store,
-                               run_id=run_id, cache=cache)
-    nan = float("nan")
-    return {row.index: row.value if row.ok else ShifterMetrics(
-                nan, nan, nan, nan, nan, nan, functional=False)
+    return kinds_from_resultset(run_experiment(spec, cache=cache))
+
+
+def kinds_from_resultset(resultset) -> dict:
+    """``kind -> ShifterMetrics`` from a ``characterize`` run's rows; a
+    kind that escaped the solver reads as non-functional NaN metrics."""
+    return {row.index: row.value if row.ok else _NONFUNCTIONAL
             for row in resultset.rows}
 
 

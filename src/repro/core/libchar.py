@@ -220,23 +220,25 @@ def characterize_cell(kind: str, pdk, vddi: float, vddo: float,
                       loads: Sequence[float] = DEFAULT_LOADS,
                       settle: float = 3e-9,
                       sizing=None, workers: int = 1,
-                      store=None,
-                      run_id: str | None = None,
                       cache=None) -> CellCharacterization:
     """Build the NLDM tables for one cell at one voltage pair.
 
     The (slew, load) grid is run through the unified experiment engine;
     ``workers > 1`` distributes grid points over a process pool with
-    tables identical to a serial run. A grid point that fails raises
-    :class:`AnalysisError` (NLDM tables cannot carry holes), as before.
+    tables identical to a serial run.
     """
     from repro.runtime.experiment import run_experiment
-    slews = np.asarray(sorted(slews), dtype=float)
-    loads = np.asarray(sorted(loads), dtype=float)
     spec = libchar_spec(kind, vddi, vddo, pdk, slews=slews, loads=loads,
                         settle=settle, sizing=sizing, workers=workers)
-    resultset = run_experiment(spec, store=store, run_id=run_id,
-                               cache=cache)
+    return cell_from_resultset(run_experiment(spec, cache=cache))
+
+
+def cell_from_resultset(resultset) -> CellCharacterization:
+    """Assemble one cell's NLDM tables from a ``libchar`` run's rows.
+
+    A grid point that failed raises :class:`AnalysisError` (NLDM tables
+    cannot carry holes).
+    """
     failures = resultset.sample_failures()
     if failures:
         f = failures[0]
@@ -244,6 +246,10 @@ def characterize_cell(kind: str, pdk, vddi: float, vddo: float,
                             if f.error.startswith("AnalysisError: ")
                             else f.error)
 
+    meta = resultset.metadata
+    kind, vddi, vddo = meta["kind"], meta["vddi"], meta["vddo"]
+    slews = np.asarray(meta["slews"], dtype=float)
+    loads = np.asarray(meta["loads"], dtype=float)
     shape = (slews.size, loads.size)
     tables = {key: np.full(shape, np.nan) for key in
               ("cell_rise", "cell_fall", "rise_transition",

@@ -23,7 +23,7 @@ from repro.floorplan.assign import (
 )
 from repro.floorplan.campaign import (
     DEFAULT_REQUIRED, FLOORPLAN_EXPERIMENT, best_by_strategy,
-    floorplan_spec, run_floorplan_campaign,
+    floorplan_spec,
 )
 from repro.floorplan.design import (
     SocDesign, design_from_verilog, generate_design,
@@ -61,6 +61,5 @@ __all__ = [
     "FLOORPLAN_EXPERIMENT",
     "DEFAULT_REQUIRED",
     "floorplan_spec",
-    "run_floorplan_campaign",
     "best_by_strategy",
 ]

@@ -175,14 +175,6 @@ def floorplan_spec(source=None, design: SocDesign | None = None,
                   "require_signoff": require_signoff})
 
 
-def run_floorplan_campaign(spec, progress=None, resume=None,
-                           store=None, run_id=None, cache=None):
-    """Run a floorplan spec through the unified experiment engine."""
-    from repro.runtime.experiment import run_experiment
-    return run_experiment(spec, progress=progress, resume=resume,
-                          store=store, run_id=run_id, cache=cache)
-
-
 def best_by_strategy(resultset) -> dict:
     """strategy -> lowest-cost successful payload of the campaign."""
     best: dict = {}

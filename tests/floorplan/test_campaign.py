@@ -11,10 +11,9 @@ import pytest
 from repro.errors import AnalysisError
 from repro.floorplan import (
     FLOORPLAN_STRATEGIES, best_by_strategy, floorplan_spec,
-    run_floorplan_campaign,
 )
 from repro.runtime.cache import SolveCache
-from repro.runtime.experiment import ArtifactStore, ResultSet
+from repro.runtime.experiment import ArtifactStore, ResultSet, run_experiment
 
 pytestmark = [pytest.mark.floorplan, pytest.mark.experiment]
 
@@ -54,30 +53,30 @@ class TestSpec:
 
 class TestDeterminismAcrossExecution:
     def test_worker_count_does_not_change_the_bits(self):
-        serial = run_floorplan_campaign(floorplan_spec(
+        serial = run_experiment(floorplan_spec(
             blocks=24, domains=4, moves=150, workers=1))
-        pooled = run_floorplan_campaign(floorplan_spec(
+        pooled = run_experiment(floorplan_spec(
             blocks=24, domains=4, moves=150, workers=2))
         assert _payloads(serial) == _payloads(pooled)
 
     def test_rerun_is_bitwise_identical(self):
         spec = lambda: floorplan_spec(blocks=16, domains=3, moves=150)
-        a = run_floorplan_campaign(spec())
-        b = run_floorplan_campaign(spec())
+        a = run_experiment(spec())
+        b = run_experiment(spec())
         assert _payloads(a) == _payloads(b)
 
     def test_resume_completes_without_recomputing(self, tmp_path):
         store = ArtifactStore(tmp_path)
         spec = floorplan_spec(blocks=16, domains=3, moves=150,
                               strategies=("sstvs", "cvs"))
-        full = run_floorplan_campaign(spec, store=store)
+        full = run_experiment(spec, store=store)
         # Drop the cvs rows and resume: only they may be recomputed,
         # and the final payloads must match the uninterrupted run.
         partial = ResultSet(
             name=full.name, codec=full.codec,
             rows=[r for r in full.rows
                   if r.value["strategy"] == "sstvs"])
-        resumed = run_floorplan_campaign(
+        resumed = run_experiment(
             floorplan_spec(blocks=16, domains=3, moves=150,
                            strategies=("sstvs", "cvs")),
             resume=partial)
@@ -87,10 +86,10 @@ class TestDeterminismAcrossExecution:
         spec = lambda: floorplan_spec(blocks=12, domains=3, moves=120,
                                       strategies=("sstvs",))
         cold_cache = SolveCache(tmp_path / "cache")
-        cold = run_floorplan_campaign(spec(), cache=cold_cache)
+        cold = run_experiment(spec(), cache=cold_cache)
         assert cold_cache.stats.stores > 0
         warm_cache = SolveCache(tmp_path / "cache")
-        warm = run_floorplan_campaign(spec(), cache=warm_cache)
+        warm = run_experiment(spec(), cache=warm_cache)
         assert warm_cache.stats.hits == len(spec().points)
         assert _payloads(warm) == _payloads(cold)
 
@@ -100,7 +99,7 @@ class TestSignoffGating:
         # An absurd 1 ps budget cannot be met; with require_signoff
         # the point fails (quarantined), without it the violation is
         # reported in the payload.
-        reported = run_floorplan_campaign(floorplan_spec(
+        reported = run_experiment(floorplan_spec(
             blocks=8, domains=3, moves=100, strategies=("sstvs",),
             required=1e-12))
         row = reported.rows[0]
@@ -108,7 +107,7 @@ class TestSignoffGating:
         assert not row.value["signoff_ok"]
         assert row.value["violations"] > 0
 
-        gated = run_floorplan_campaign(floorplan_spec(
+        gated = run_experiment(floorplan_spec(
             blocks=8, domains=3, moves=100, strategies=("sstvs",),
             required=1e-12, require_signoff=True))
         failures = gated.sample_failures()
@@ -118,7 +117,7 @@ class TestSignoffGating:
 
 class TestBestByStrategy:
     def test_picks_the_lowest_cost_restart(self):
-        result = run_floorplan_campaign(floorplan_spec(
+        result = run_experiment(floorplan_spec(
             blocks=10, domains=3, moves=120, restarts=3,
             strategies=("sstvs",)))
         best = best_by_strategy(result)
@@ -134,7 +133,7 @@ class TestSocScale:
         store = ArtifactStore(tmp_path)
         spec = floorplan_spec(blocks=1024, domains=6, moves=400,
                               strategies=("sstvs",), design_seed=1)
-        result = run_floorplan_campaign(spec, store=store)
+        result = run_experiment(spec, store=store)
         assert result.counts["err"] == 0
         payload = result.rows[0].value
         assert payload["blocks"] == 1024
@@ -148,7 +147,7 @@ class TestSocScale:
         assert _payloads(reloaded) == _payloads(result)
 
         # And the digest is reproducible from scratch.
-        again = run_floorplan_campaign(
+        again = run_experiment(
             floorplan_spec(blocks=1024, domains=6, moves=400,
                            strategies=("sstvs",), design_seed=1))
         assert again.rows[0].value["placement_digest"] == \

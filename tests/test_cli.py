@@ -43,6 +43,17 @@ class TestCommands:
         assert "Rising delay" in out
         assert "functional fraction: 1.000" in out
 
+    def test_sweep_summary_names_the_failing_cells(self, capsys):
+        """A partly failing grid prints the exact count and the failing
+        (VDDI, VDDO) cells, never a rounded fraction, and exits 1."""
+        code = main(["sweep", "ssvs_puri", "--step", "0.3",
+                     "--workers", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "functional fraction" not in out
+        assert ("functional: 6 of 9 cells; non-functional (VDDI, VDDO): "
+                "(0.8, 0.8), (1.1, 0.8), (1.4, 0.8)") in out
+
     def test_mc_small(self, capsys):
         code = main(["mc", "sstvs", "--runs", "2"])
         out = capsys.readouterr().out
@@ -59,6 +70,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "sstvs" in out
+
+    def test_compare_follows_temp(self, tmp_path, capsys):
+        """``--temp`` reaches compare's PDK: its table is the one
+        characterize prints for the same two kinds at that temperature."""
+        from repro.core.metrics import METRIC_FIELDS, METRIC_UNITS
+        from repro.runtime.experiment import ArtifactStore
+        from repro.units import format_eng
+        assert main(["--temp", "90", "characterize", "sstvs", "combined",
+                     "--workers", "1", "--out", str(tmp_path)]) == 0
+        run_id = _stored_run_id(capsys.readouterr().out)
+        metrics = {row.index: row.value
+                   for row in ArtifactStore(tmp_path).load(run_id).rows}
+        assert main(["--temp", "90", "compare"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == len(METRIC_FIELDS)
+        for name, line in zip(METRIC_FIELDS, lines):
+            assert line.split()[-3:-1] == [
+                format_eng(getattr(metrics[kind], name),
+                           METRIC_UNITS[name], 3)
+                for kind in ("sstvs", "combined")], line
 
     def test_liberty_to_file(self, tmp_path, capsys):
         target = tmp_path / "cells.lib"
@@ -145,6 +176,41 @@ class TestExperimentCommands:
         assert _stored_run_id(out) == run_id
         assert "4 runs" in out
 
+    def test_trace_flag_does_not_carry_over(self, tmp_path, capsys):
+        """A ``--trace`` campaign leaves the next untraced one in the
+        same process untraced."""
+        from repro.runtime.experiment import ArtifactStore
+        run_ids = []
+        for flags in (["--trace"], []):
+            assert main(["mc", "sstvs", "--runs", "1", "--workers", "1",
+                         "--out", str(tmp_path), *flags]) == 0
+            run_ids.append(_stored_run_id(capsys.readouterr().out))
+        store = ArtifactStore(tmp_path)
+        assert [bool(store.manifest(run_id).get("trace"))
+                for run_id in run_ids] == [True, False]
+
+    def test_liberty_resume_reuses_run_dir(self, tmp_path, capsys):
+        argv = ["liberty", "inverter", "--vddi", "1.2", "--vddo", "1.2",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        run_id = _stored_run_id(first)
+        assert main(argv + ["--resume", run_id]) == 0
+        again = capsys.readouterr().out
+        assert _stored_run_id(again) == run_id
+        assert again == first
+
+    def test_liberty_resume_of_several_kinds_exits_2(self, tmp_path,
+                                                     capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["liberty", "sstvs", "combined", "--out", str(tmp_path),
+                  "--resume", "some-run"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("usage: repro liberty")
+        assert "--resume" in message
+        assert not any(tmp_path.iterdir())
+
     def test_runs_with_empty_store(self, tmp_path, capsys):
         code = main(["runs", "--out", str(tmp_path)])
         assert code == 0
@@ -224,6 +290,27 @@ class TestFloorplanParser:
         probe = ("import sys, repro.cli; repro.cli.build_parser(); "
                  "print(sorted(m for m in ('repro.floorplan', "
                  "'networkx') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_skips_subcommand_modules(self):
+        """Importing the CLI (what every command pays before it parses)
+        loads no analysis, floorplan, libchar, layout or STA module."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                     else []))
+        probe = ("import sys, repro.cli; print(sorted(m for m in "
+                 "sys.modules if m.startswith(('repro.analysis', "
+                 "'repro.floorplan', 'repro.core.libchar', "
+                 "'repro.layout', 'repro.sta'))))")
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"

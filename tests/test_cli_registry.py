@@ -94,6 +94,13 @@ class TestErrorPaths:
             (["functional", "--step"], ("0", "-0.1", "nan", "inf", "fine")),
             (["show", "some-run", "--limit"], ("-1", "two")),
             (["trace", "some-run", "--limit"], ("-1", "two")),
+            (["characterize", "sstvs", "--vddi"], ("nan", "0", "-0.8")),
+            (["mc", "--vddo"], ("inf", "0")),
+            (["--temp"], ("nan", "inf", "warm")),
+            (["temp", "--temps"], ("nan", "inf")),
+            (["serve", "--jobs", "j", "--once", "--heartbeat"],
+             ("0", "nan", "-1")),
+            (["serve", "--jobs", "j", "--once", "--poll"], ("-1", "nan")),
         )
         for value in values
     ], ids=lambda param: (param[0] if isinstance(param, list) else param))
@@ -107,6 +114,34 @@ class TestErrorPaths:
         assert message.startswith("usage:")
         assert argv[-1] in message and repr(value) in message
         assert not store.exists()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["bench"], 2),
+        (["mc", "--runs", "0"], 2),
+        (["characterize", "sstvs", "--vddi", "nan"], 2),
+        (["area"], 0),
+        (["cache", "stats", "--root", "{tmp}/cache"], 0),
+        (["characterize", "ssvs_puri", "--vddi", "1.2", "--vddo", "0.8",
+          "--workers", "1"], 1),
+    ], ids=lambda param: (" ".join(param[:2]) if isinstance(param, list)
+                          else str(param)))
+    def test_exit_codes(self, argv, code, tmp_path, capsys):
+        """2 for usage errors, 0 for success, 1 for a non-functional
+        circuit verdict."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if code == 2:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert capsys.readouterr().err.startswith("usage:")
+        else:
+            assert main(argv) == code
+
+    def test_negative_temperatures_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["--temp", "-40", "area"]).temp == -40.0
+        assert parser.parse_args(["temp", "--temps", "-40",
+                                  "125"]).temps == [-40.0, 125.0]
 
     def test_zero_limit_and_small_step_parse(self):
         parser = build_parser()
